@@ -13,16 +13,24 @@ non-decreasing (up to a relative slack of 1e-9 that covers the ridge
 term added to covariance estimates).
 
 The per-block logistic fits are damped Newton-Raphson solves of a
-weighted binomial log-likelihood; linear predictors are kept inside a
-box so complete separation cannot push coefficients to infinity.
+weighted binomial log-likelihood, run for all g*d blocks at once as one
+stack in which each block keeps its own stopping and step rules; linear
+predictors are kept inside a box so complete separation cannot push
+coefficients to infinity.
+
+The linear predictors eta, their softplus and the Gaussian
+log-densities depend only on the covariates and the parameters, so they
+are computed once per parameter set and shared by the E-steps and the
+free-energy evaluations of a sweep.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logsumexp, xlogy
+from scipy.special import expit, xlogy
 
 from .errors import (
     AllRestartsFailed,
@@ -147,14 +155,48 @@ def map_labels(assignments: SoftAssignments) -> HardLabels:
     )
 
 
+def _softplus(eta: np.ndarray) -> np.ndarray:
+    """log(1 + e^eta) by the formula np.logaddexp(0, eta) uses, from
+    vectorized exp and log1p: within an ulp of it and several times faster."""
+    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+
+
 def _block_predictors(y_aug: np.ndarray, coefs: np.ndarray):
     """eta[i,k,l] = y_aug_i . coefs[k,l] and its softplus, shapes (n,g,d)."""
     eta = np.tensordot(y_aug, coefs, axes=([1], [2]))
-    return eta, np.logaddexp(0.0, eta)
+    return eta, _softplus(eta)
+
+
+_memo = threading.local()
+
+
+def _param_terms(y: CovariateTable, params: ModelParams):
+    """eta (n,g,d), softplus(eta) and the (n,g) Gaussian log-densities.
+
+    They depend only on the (covariates, parameters) pair, which every
+    sub-step of a sweep reads several times, so each thread keeps the
+    last pair's terms in a one-slot memo keyed on object identity (both
+    types are immutable). The slot holds the pair itself, so neither id
+    can be reused while it is cached; fit empties it before returning.
+    """
+    last = getattr(_memo, "last", None)
+    if last is not None and last[0] is y and last[1] is params:
+        return last[2]
+    eta, sp = _block_predictors(y.augmented, params.coefs)
+    terms = (eta, sp, gaussian_cluster_logpdfs(y, params))
+    _memo.last = (y, params, terms)
+    return terms
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    probs = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+    # the row normalizer is scipy.special.logsumexp's, step for step (the
+    # row maxima are left out of the sum and added back through log1p),
+    # without its per-call overhead, which dominated on small inputs
+    top = logits.max(axis=1, keepdims=True)
+    at_top = logits == top
+    ties = at_top.sum(axis=1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(at_top, -np.inf, logits - top)).sum(axis=1, keepdims=True) / ties
+    probs = np.exp(logits - (np.log1p(rest) + np.log(ties) + top))
     # flush vanishing mass to exact zero: a subnormal residue here would
     # make the matching proportion underflow to 0 and 0*log 0 to -inf
     probs[probs < 1e-300] = 0.0
@@ -173,25 +215,30 @@ def row_e_step(
     log-sum-exp so nothing underflows.
     """
     r = np.asarray(r, dtype=float)
-    eta, sp = _block_predictors(y.augmented, params.coefs)
+    eta, sp, logphi = _param_terms(y, params)
     xr = x.values @ r
     rmass = r.sum(axis=0)
     bern = np.einsum("il,ikl->ik", xr, eta) - sp @ rmass
     w = covariate_density_weight(cov_weight, x.m)
     with np.errstate(divide="ignore"):
         logpi = np.log(params.row_props)
-    return _softmax_rows(logpi[None, :] + w * gaussian_cluster_logpdfs(y, params) + bern)
+    return _softmax_rows(logpi[None, :] + w * logphi + bern)
+
+
+def _col_logits(xv: np.ndarray, t, eta, sp, logrho) -> np.ndarray:
+    """Unnormalized column log-posteriors, one row per column of xv:
+    logrho_l + sum_i x_ij sum_k t_ik eta_ikl - sum_ik t_ik softplus(eta_ikl)."""
+    lin = np.einsum("ik,ikl->il", t, eta)
+    base = np.einsum("ik,ikl->l", t, sp)
+    return logrho + xv.T @ lin - base[None, :]
 
 
 def _col_scores(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams) -> np.ndarray:
     """Unnormalized column log-posteriors, one row per column of x."""
-    t = np.asarray(t, dtype=float)
-    eta, sp = _block_predictors(y.augmented, params.coefs)
-    lin = np.einsum("ik,ikl->il", t, eta)
-    base = np.einsum("ik,ikl->l", t, sp)
+    eta, sp, _ = _param_terms(y, params)
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
-    return logrho[None, :] + x.values.T @ lin - base[None, :]
+    return _col_logits(x.values, np.asarray(t, dtype=float), eta, sp, logrho[None, :])
 
 
 def col_e_step(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams) -> np.ndarray:
@@ -261,75 +308,143 @@ def weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_ma
     return -(y_aug.T * w) @ y_aug
 
 
-def _newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init, cfg: BemConfig):
-    """Damped Newton ascent of one block's objective inside the predictor box.
+def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
+    """Newton directions for a (K, q, q) stack of systems.
 
-    Steps are scaled so every linear predictor stays in
-    [-predictor_bound, predictor_bound], then halved until the objective
-    does not decrease. A singular Hessian is retried with ridge boosts.
-    The gradient stop is relative to the block's Bernoulli mass so the
-    iteration count does not grow with the data size. Returns
-    (beta, clamped) where clamped records a binding box.
+    A block whose system is singular, or whose direction is not finite,
+    is retried with a ridge boost on the diagonal: none at first, then
+    max(ridge, 1e-12), then 1e3 times the last boost, for at most 8
+    tries. Only the failed blocks are retried. Rows never solved are NaN.
+    """
+    delta = np.full(grad.shape, np.nan)
+    todo = np.arange(grad.shape[0])
+    lhs, rhs, boost = neg_h, grad, 0.0
+    for _ in range(8):
+        try:
+            sol = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # one singular system fails the whole stack: solve each alone
+            sol = np.full(rhs.shape, np.nan)
+            for j in range(todo.size):
+                try:
+                    sol[j] = np.linalg.solve(lhs[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    pass
+        ok = np.all(np.isfinite(sol), axis=1)
+        delta[todo[ok]] = sol[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        boost = max(ridge, 1e-12) if boost == 0.0 else boost * 1e3
+        lhs, rhs = neg_h[todo] + boost * np.eye(grad.shape[1]), grad[todo]
+    return delta
+
+
+def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
+    """Damped Newton ascent of K independent block objectives at once.
+
+    Block b is row b of weights (K, n), counts (K, n), mass (K,) and
+    beta_init (K, q); its objective is weighted_logistic_objective with
+    those arguments, in the same order of operations (softplus from
+    _softplus). Each block follows its own rules: it stops once its
+    gradient is below nr_grad_tol times its Bernoulli mass, so the
+    iteration count does not grow with the data size; its step is
+    scaled so every linear predictor stays in [-predictor_bound,
+    predictor_bound], then halved until the objective does not decrease
+    (at most 60 tries, and never below a relative step of 1e-15); it
+    stops when no direction, no room in the box or no ascent is left.
+    A stopped block leaves the active set, so later iterations work on
+    the others only. The predictors of the accepted step are kept for
+    the next iteration. Returns (beta, clamped) where clamped marks
+    blocks with a binding box.
     """
     beta = np.array(beta_init, dtype=float)
-    q = beta.size
-    obj = weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_mass)
+    peak = np.zeros(beta.shape[0])
     bound = cfg.predictor_bound
-    eye = np.eye(q)
-    grad_scale = 1.0 + trial_mass * float(np.sum(row_weights))
+    idx = np.arange(beta.shape[0])
+    b = beta.copy()
+    eta = b @ y_aug.T
+    w, c, tm = weights, counts, mass
+
+    def objective(rows, eta):
+        return np.einsum(
+            "kn,kn->k", w[rows], c[rows] * eta - tm[rows, None] * _softplus(eta)
+        )
+
+    obj = objective(slice(None), eta)
+    scale = 1.0 + tm * w.sum(axis=1)
+    # products of predictor columns a <= b: all Hessians in one matmul
+    upper = np.triu_indices(y_aug.shape[1])
+    prods = y_aug[:, upper[0]] * y_aug[:, upper[1]]
+
+    def retire(keep, *extra):
+        """Store the blocks not in keep and drop them from the active set."""
+        nonlocal idx, b, eta, obj, w, c, tm, scale
+        gone = ~keep
+        beta[idx[gone]] = b[gone]
+        peak[idx[gone]] = np.abs(eta[gone]).max(axis=1)
+        idx, b, eta, obj, w, c, tm, scale = (
+            a[keep] for a in (idx, b, eta, obj, w, c, tm, scale)
+        )
+        return [a[keep] for a in extra]
 
     for _ in range(cfg.nr_max_iters):
-        grad = weighted_logistic_gradient(beta, y_aug, row_weights, success_counts, trial_mass)
-        if np.max(np.abs(grad)) < cfg.nr_grad_tol * grad_scale:
+        if not idx.size:
             break
-        hess = weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_mass)
-        neg_h = -hess
-        delta = None
-        boost = 0.0
-        for _ in range(8):
-            try:
-                cand = np.linalg.solve(neg_h + boost * eye, grad)
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)):
-                delta = cand
+        sig = expit(eta)
+        grad = (w * (c - tm[:, None] * sig)) @ y_aug
+        live = np.max(np.abs(grad), axis=1) >= cfg.nr_grad_tol * scale
+        if not live.all():
+            sig, grad = retire(live, sig, grad)
+            if not idx.size:
                 break
-            boost = max(cfg.ridge, 1e-12) if boost == 0.0 else boost * 1e3
-        if delta is None:
-            break
-
-        eta = y_aug @ beta
-        deta = y_aug @ delta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            caps = np.where(
-                deta > 0,
-                (bound - eta) / deta,
-                np.where(deta < 0, (-bound - eta) / deta, np.inf),
-            )
-        s = min(1.0, float(caps.min())) if caps.size else 1.0
-        if s <= 0.0:
-            break
-        accepted = False
-        dmax = float(np.max(np.abs(delta)))
-        bref = 1.0 + float(np.max(np.abs(beta)))
+        neg_hess = np.empty(grad.shape + grad.shape[1:])
+        neg_hess[:, upper[0], upper[1]] = (w * tm[:, None] * sig * (1.0 - sig)) @ prods
+        neg_hess[:, upper[1], upper[0]] = neg_hess[:, upper[0], upper[1]]
+        delta = _solve_boosted(neg_hess, grad, cfg.ridge)
+        solved = np.all(np.isfinite(delta), axis=1)
+        if not solved.all():
+            (delta,) = retire(solved, delta)
+            if not idx.size:
+                break
+        # largest step that keeps every predictor inside the box
+        deta = delta @ y_aug.T
+        caps = np.divide(
+            bound - np.sign(deta) * eta,
+            np.abs(deta),
+            out=np.full(deta.shape, np.inf),
+            where=deta != 0,
+        )
+        step = np.minimum(1.0, caps.min(axis=1))
+        room = step > 0.0
+        if not room.all():
+            delta, step = retire(room, delta, step)
+            if not idx.size:
+                break
+        dmax = np.max(np.abs(delta), axis=1)
+        bref = 1.0 + np.max(np.abs(b), axis=1)
+        accepted = np.zeros(idx.size, dtype=bool)
+        trying = np.arange(idx.size)
+        rows = slice(None)
         for _ in range(60):
-            cand_beta = beta + s * delta
-            cand_obj = weighted_logistic_objective(
-                cand_beta, y_aug, row_weights, success_counts, trial_mass
-            )
-            if cand_obj >= obj:
-                beta, obj = cand_beta, cand_obj
-                accepted = True
+            cand = b[rows] + step[rows, None] * delta[rows]
+            cand_eta = cand @ y_aug.T
+            cand_obj = objective(rows, cand_eta)
+            up = cand_obj >= obj[rows]
+            hit = trying[up]
+            b[hit], eta[hit], obj[hit] = cand[up], cand_eta[up], cand_obj[up]
+            accepted[hit] = True
+            trying = trying[~up]
+            step[trying] *= 0.5
+            trying = trying[step[trying] * dmax[trying] >= 1e-15 * bref[trying]]
+            if not trying.size:
                 break
-            s *= 0.5
-            if s * dmax < 1e-15 * bref:
-                break
-        if not accepted:
-            break
+            rows = trying
+        if not accepted.all():
+            retire(accepted)
 
-    eta = y_aug @ beta
-    clamped = bool(eta.size and np.max(np.abs(eta)) >= bound - 1e-6)
-    return beta, clamped
+    retire(np.zeros(idx.size, dtype=bool))
+    return beta, peak >= bound - 1e-6
 
 
 def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemConfig):
@@ -337,8 +452,11 @@ def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemCon
 
     Blocks are independent: block (k,l) maximizes
         sum_i t_ik [ (x r)_il eta_i - r_.l softplus(eta_i) ].
-    A column cluster with zero mass leaves its coefficients at the warm
-    start (its objective is identically zero).
+    All g*d blocks are solved as one stack by damped Newton-Raphson
+    (block (k,l) is row k*d + l), each block with its own stopping,
+    box and step-halving rules. A column cluster with zero mass leaves
+    its coefficients at the warm start (its objective is identically
+    zero).
 
     Returns (coefs, clamped): the (g,d,p+1) array and a (g,d) boolean
     array marking blocks where the separation guard was binding.
@@ -346,17 +464,18 @@ def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemCon
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     beta_init = np.asarray(beta_init, dtype=float)
-    g, d = t.shape[1], r.shape[1]
+    g, d, q = beta_init.shape
     xr = x.values @ r
     rmass = r.sum(axis=0)
-    coefs = np.empty_like(beta_init)
-    clamped = np.zeros((g, d), dtype=bool)
-    for k in range(g):
-        for l in range(d):
-            coefs[k, l], clamped[k, l] = _newton_block(
-                y.augmented, t[:, k], xr[:, l], rmass[l], beta_init[k, l], cfg
-            )
-    return coefs, clamped
+    coefs, clamped = _newton_stack(
+        y.augmented,
+        np.repeat(t.T, d, axis=0),
+        np.tile(xr.T, (g, 1)),
+        np.tile(rmass, g),
+        beta_init.reshape(g * d, q),
+        cfg,
+    )
+    return coefs.reshape(g, d, q), clamped.reshape(g, d)
 
 
 def free_energy(
@@ -370,7 +489,7 @@ def free_energy(
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    eta, sp = _block_predictors(y.augmented, params.coefs)
+    eta, sp, logphi = _param_terms(y, params)
     xr = x.values @ r
     rmass = r.sum(axis=0)
     tmass = t.sum(axis=0)
@@ -378,7 +497,7 @@ def free_energy(
         np.einsum("ik,ikl,l->", t, sp, rmass)
     )
     w = covariate_density_weight(cov_weight, x.m)
-    gauss = w * float(np.einsum("ik,ik->", t, gaussian_cluster_logpdfs(y, params)))
+    gauss = w * float(np.einsum("ik,ik->", t, logphi))
     mix = float(xlogy(tmass, params.row_props).sum()) + float(
         xlogy(rmass, params.col_props).sum()
     )
@@ -571,10 +690,7 @@ def _merge_split_candidates(
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(iters):
             beta, _ = m_step_beta(xs, y, t, r, beta, cfg)
-            eta, sp = _block_predictors(aug, beta)
-            lin = np.einsum("ik,ikl->il", t, eta)
-            base = np.einsum("ik,ikl->l", t, sp)
-            r = _softmax_rows(xs.values.T @ lin - base[None, :])
+            r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), 0.0))
         return r.argmax(axis=1)
 
     candidates = []
@@ -606,6 +722,15 @@ def _merge_split_candidates(
     return candidates
 
 
+def _gains(new: FitResult, old: FitResult | None) -> bool:
+    """Whether new beats old by more than round-off: a free-energy gain
+    within the trace slack is a tie, and ties keep the earlier result."""
+    if old is None:
+        return True
+    ref = old.final_free_energy
+    return new.final_free_energy - ref > _TRACE_SLACK * abs(ref)
+
+
 def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | None = None) -> FitResult:
     """Best-of-restarts block-EM fit with g row and d column clusters.
 
@@ -613,8 +738,11 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
     cfg.seed) and keeps the result with the highest final free energy,
     then attempts up to cfg.split_merge_rounds merge-and-split
     refinements of the column clustering, accepting a refit only when it
-    improves the free energy. Restarts that collapse a cluster are
-    skipped; if every restart collapses, AllRestartsFailed is raised.
+    improves the free energy. A later result replaces an earlier one only
+    if its free energy is higher by more than the trace slack (1e-9
+    relative), so round-off ties never decide. Restarts that collapse a
+    cluster are skipped; if every restart collapses, AllRestartsFailed
+    is raised.
     """
     if cfg is None:
         cfg = BemConfig()
@@ -624,6 +752,13 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
         raise ParamValidationError(
             f"need 1 <= g <= n and 1 <= d <= m, got g={g}, d={d}, n={x.n}, m={x.m}"
         )
+    try:
+        return _fit_restarts(x, y, g, d, cfg)
+    finally:
+        _memo.last = None
+
+
+def _fit_restarts(x, y, g, d, cfg: BemConfig) -> FitResult:
     best = None
     last_error = None
     seq = np.random.SeedSequence(cfg.seed)
@@ -634,7 +769,7 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
         except (EmptyCluster, NotPositiveDefinite) as exc:
             last_error = exc
             continue
-        if best is None or result.final_free_energy > best.final_free_energy:
+        if _gains(result, best):
             best = result
     if best is None:
         raise AllRestartsFailed(
@@ -648,10 +783,7 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
                 candidate = _single_fit(x, y, g, d, cfg, rng, init=init)
             except (EmptyCluster, NotPositiveDefinite):
                 continue
-            if candidate.final_free_energy > best.final_free_energy and (
-                improved is None
-                or candidate.final_free_energy > improved.final_free_energy
-            ):
+            if _gains(candidate, best) and _gains(candidate, improved):
                 improved = candidate
         if improved is None:
             break

@@ -5,6 +5,10 @@ The mpmath functions below recompute the posteriors and the exact
 log-likelihood directly from the model definition in the linear domain,
 term by term, with no log-sum-exp tricks. They are deliberately naive;
 the point is that they share no code path with the package.
+
+newton_block is a per-block damped Newton solver, one block at a time
+in plain numpy: the reference the stacked solver in
+coblock.bem.m_step_beta is checked against block by block.
 """
 
 from __future__ import annotations
@@ -14,6 +18,12 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from coblock.bem import (
+    BemConfig,
+    weighted_logistic_gradient,
+    weighted_logistic_hessian,
+    weighted_logistic_objective,
+)
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams
 
 mp.mp.dps = 50
@@ -148,3 +158,74 @@ def hard_soft(labels, k: int) -> np.ndarray:
     out = np.zeros((labels.size, k))
     out[np.arange(labels.size), labels] = 1.0
     return out
+
+
+def newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init, cfg: BemConfig):
+    """Damped Newton ascent of one block's objective inside the predictor box.
+
+    Steps are scaled so every linear predictor stays in
+    [-predictor_bound, predictor_bound], then halved until the objective
+    does not decrease. A singular Hessian is retried with ridge boosts.
+    The gradient stop is relative to the block's Bernoulli mass so the
+    iteration count does not grow with the data size. Returns
+    (beta, clamped) where clamped records a binding box.
+    """
+    beta = np.array(beta_init, dtype=float)
+    q = beta.size
+    obj = weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_mass)
+    bound = cfg.predictor_bound
+    eye = np.eye(q)
+    grad_scale = 1.0 + trial_mass * float(np.sum(row_weights))
+
+    for _ in range(cfg.nr_max_iters):
+        grad = weighted_logistic_gradient(beta, y_aug, row_weights, success_counts, trial_mass)
+        if np.max(np.abs(grad)) < cfg.nr_grad_tol * grad_scale:
+            break
+        hess = weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_mass)
+        neg_h = -hess
+        delta = None
+        boost = 0.0
+        for _ in range(8):
+            try:
+                cand = np.linalg.solve(neg_h + boost * eye, grad)
+            except np.linalg.LinAlgError:
+                cand = None
+            if cand is not None and np.all(np.isfinite(cand)):
+                delta = cand
+                break
+            boost = max(cfg.ridge, 1e-12) if boost == 0.0 else boost * 1e3
+        if delta is None:
+            break
+
+        eta = y_aug @ beta
+        deta = y_aug @ delta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            caps = np.where(
+                deta > 0,
+                (bound - eta) / deta,
+                np.where(deta < 0, (-bound - eta) / deta, np.inf),
+            )
+        s = min(1.0, float(caps.min())) if caps.size else 1.0
+        if s <= 0.0:
+            break
+        accepted = False
+        dmax = float(np.max(np.abs(delta)))
+        bref = 1.0 + float(np.max(np.abs(beta)))
+        for _ in range(60):
+            cand_beta = beta + s * delta
+            cand_obj = weighted_logistic_objective(
+                cand_beta, y_aug, row_weights, success_counts, trial_mass
+            )
+            if cand_obj >= obj:
+                beta, obj = cand_beta, cand_obj
+                accepted = True
+                break
+            s *= 0.5
+            if s * dmax < 1e-15 * bref:
+                break
+        if not accepted:
+            break
+
+    eta = y_aug @ beta
+    clamped = bool(eta.size and np.max(np.abs(eta)) >= bound - 1e-6)
+    return beta, clamped

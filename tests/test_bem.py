@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coblock as cb
+from coblock import bem
 from coblock.bem import (
     BemConfig,
     FitResult,
@@ -36,6 +37,7 @@ from helpers import (
     mp_col_posteriors,
     mp_exact_loglik,
     mp_row_posteriors,
+    newton_block,
     rand_instance,
     rand_params,
     rand_soft,
@@ -275,6 +277,88 @@ class TestGradientAndHessian:
             np.testing.assert_allclose(fd_row, hess[a], rtol=1e-4, atol=1e-7)
 
 
+class TestStackedNewton:
+    """m_step_beta solves all g*d blocks as one stack; each block must end
+    where the per-block reference helpers.newton_block ends.
+
+    Coefficients agree to 1e-6 relative (1e-9 absolute, for coefficients
+    that are round-off around 0), clamped flags are equal, and objectives
+    agree to 1e-12 relative to max(|F|, 1), as separated blocks have F
+    near 0. Stacks with a constant covariate are left out: that problem
+    is not identifiable, and both solvers drift along the flat ridge of
+    optima to different points.
+    """
+
+    @staticmethod
+    def _assert_matches_reference(x, y, t, r, beta0, cfg):
+        got, clamped = m_step_beta(x, y, t, r, beta0, cfg)
+        xr = x.values @ r
+        rmass = r.sum(axis=0)
+        for k in range(t.shape[1]):
+            for l in range(r.shape[1]):
+                args = (y.augmented, t[:, k], xr[:, l], rmass[l])
+                ref, ref_clamped = newton_block(*args, beta0[k, l], cfg)
+                assert clamped[k, l] == ref_clamped, (k, l)
+                np.testing.assert_allclose(got[k, l], ref, rtol=1e-6, atol=1e-9)
+                want = weighted_logistic_objective(ref, *args)
+                have = weighted_logistic_objective(got[k, l], *args)
+                assert abs(have - want) <= 1e-12 * max(abs(want), 1.0), (k, l)
+        return got, clamped
+
+    def test_mixed_stack(self):
+        # row clusters 0/1 share rows 0..37 softly; rows 38-39 (covariate
+        # exactly 0) are all of row cluster 2, so its Hessians are singular.
+        # Column cluster 0 is interior, 1 is all ones on rows 0..37
+        # (separated, warm-started high) and 2 has zero mass.
+        rng = np.random.default_rng(40)
+        n, p = 40, 1
+        cov = rng.normal(size=(n, p))
+        cov[38:] = 0.0
+        y = CovariateTable(cov)
+        xv = (rng.random((n, 12)) < 0.4).astype(float)
+        xv[:38, 6:] = 1.0
+        xv[38:, 6:] = [[1, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0]]
+        x = BinaryMatrix(xv)
+        t = np.zeros((n, 3))
+        t[:38, :2] = rand_soft(rng, 38, 2)
+        t[38:, 2] = 1.0
+        r = hard_soft([0] * 6 + [1] * 6, 3)
+        # a tight gradient stop lets the separated blocks reach the box
+        cfg = BemConfig(nr_grad_tol=1e-16, nr_max_iters=60)
+        beta0 = rng.normal(size=(3, 3, p + 1))
+        beta0[:2, 1, 0] = 20.0
+        # block (2, 0) starts at its own optimum
+        xr = x.values @ r
+        beta0[2, 0], _ = newton_block(
+            y.augmented, t[:, 2], xr[:, 0], r[:, 0].sum(), beta0[2, 0], cfg
+        )
+        hess = weighted_logistic_hessian(
+            beta0[2, 1], y.augmented, t[:, 2], xr[:, 1], r[:, 1].sum()
+        )
+        assert np.linalg.matrix_rank(hess) < p + 1
+        got, clamped = self._assert_matches_reference(x, y, t, r, beta0, cfg)
+        assert clamped.tolist() == [[False, True, False], [False, True, False], [False] * 3]
+        np.testing.assert_array_equal(got[:, 2], beta0[:, 2])
+        np.testing.assert_array_equal(got[2, 0], beta0[2, 0])
+        assert got[2, 1, 0] != beta0[2, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_identifiable_stacks(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n, m = int(rng.integers(8, 50)), int(rng.integers(2, 12))
+        p, g, d = int(rng.integers(0, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        xv = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(float)
+        if seed % 4 == 0:
+            xv[:, : m // 2] = 1.0
+        x = BinaryMatrix(xv)
+        y = CovariateTable(rng.normal(scale=rng.choice([0.5, 3.0]), size=(n, p)))
+        beta0 = rng.normal(size=(g, d, p + 1))
+        cfg = BemConfig(nr_max_iters=int(rng.choice([5, 25, 60])))
+        self._assert_matches_reference(
+            x, y, rand_soft(rng, n, g), rand_soft(rng, m, d), beta0, cfg
+        )
+
+
 class TestFreeEnergy:
     def test_degenerate_family_equals_exact_loglik(self):
         rng = np.random.default_rng(8)
@@ -388,6 +472,47 @@ class TestFit:
         pinned = fit(sim.x, sim.y, 2, 2, replace(base, free_energy_rel_tol=0.0))
         assert pinned.n_iters == 30 and not pinned.converged
         assert len(pinned.free_energy_trace) == 1 + 4 * 30
+
+    def test_round_off_ties_keep_the_earlier_result(self, monkeypatch):
+        # a later restart or split-merge refit whose free energy is higher
+        # by round-off only must not replace the result already kept
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        kept = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, split_merge_rounds=0))
+        tr = kept.free_energy_trace
+
+        def raised(rel):
+            return replace(kept, free_energy_trace=np.append(tr[:-1], tr[-1] + rel * abs(tr[-1])))
+
+        tie, gain = raised(1e-14), raised(1e-6)
+        for later, wins in ((tie, False), (gain, True)):
+            results = iter([kept, later])
+            monkeypatch.setattr(bem, "_single_fit", lambda *a, **k: next(results))
+            got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=2, split_merge_rounds=0))
+            assert got is (later if wins else kept)
+
+        rounds = []
+        monkeypatch.setattr(bem, "_merge_split_candidates", lambda *a: rounds.append(1) or ["init"])
+        monkeypatch.setattr(bem, "_single_fit", lambda *a, init=None: kept if init is None else tie)
+        got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, split_merge_rounds=2))
+        assert got is kept and len(rounds) == 1
+
+    def test_gaussian_terms_once_per_parameter_set(self, monkeypatch):
+        # each ModelParams of a sweep is read by the E-steps and the free
+        # energy; its Gaussian log-densities are computed once, not per caller
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        calls = []
+        inner = bem.gaussian_cluster_logpdfs
+        monkeypatch.setattr(
+            bem, "gaussian_cluster_logpdfs", lambda y, params: calls.append(1) or inner(y, params)
+        )
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
+                        max_outer_iters=8)
+        res = fit(sim.x, sim.y, 2, 2, cfg)
+        assert res.n_iters == 8
+        assert len(calls) <= 2 * res.n_iters + 1
+        assert bem._memo.last is None
 
     def test_deterministic_given_seed(self):
         truth = cb.separated_params(2, 2, p=1, seed=5)
