@@ -27,7 +27,7 @@ free-energy evaluations of a sweep.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, xlogy
@@ -789,8 +789,3 @@ def _fit_restarts(x, y, g, d, cfg: BemConfig) -> FitResult:
             break
         best = improved
     return best
-
-
-def config_with_seed(cfg: BemConfig, seed: int) -> BemConfig:
-    """Copy of cfg with a different seed (restarts re-derive from it)."""
-    return replace(cfg, seed=int(seed))

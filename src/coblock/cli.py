@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -93,23 +94,6 @@ def _bem_config(args) -> BemConfig:
     )
 
 
-def _config_echo(cfg: BemConfig) -> dict:
-    return {
-        "max_outer_iters": cfg.max_outer_iters,
-        "free_energy_rel_tol": cfg.free_energy_rel_tol,
-        "nr_max_iters": cfg.nr_max_iters,
-        "nr_grad_tol": cfg.nr_grad_tol,
-        "n_restarts": cfg.n_restarts,
-        "init_strategy": cfg.init_strategy,
-        "ridge": cfg.ridge,
-        "min_cluster_mass": cfg.min_cluster_mass,
-        "seed": cfg.seed,
-        "predictor_bound": cfg.predictor_bound,
-        "cov_weight": cfg.cov_weight,
-        "split_merge_rounds": cfg.split_merge_rounds,
-    }
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,7 +117,7 @@ def _cmd_fit(args) -> int:
             "y": str(args.y),
             "g": args.g,
             "d": args.d,
-            "config": _config_echo(cfg),
+            "config": asdict(cfg),
             "converged": result.converged,
             "n_iters": result.n_iters,
             "free_energy": result.final_free_energy,
@@ -162,7 +146,7 @@ def _cmd_select(args) -> int:
             "y": str(args.y),
             "g_range": args.g_range,
             "d_range": args.d_range,
-            "config": _config_echo(cfg),
+            "config": asdict(cfg),
             "best_g": best_g,
             "best_d": best_d,
             "best_bic": grid.best_cell().bic,
@@ -177,8 +161,9 @@ def _cmd_simulate(args) -> int:
     params = read_params_json(args.params)
     sim = generate(SimConfig(n=args.n, m=args.m, params=params, seed=args.seed))
     out = _outdir(args)
-    write_x_csv(out / "x.csv", sim.x)
+    # y first: it refuses p = 0, and then no x.csv is left behind
     write_y_csv(out / "y.csv", sim.y)
+    write_x_csv(out / "x.csv", sim.x)
     write_labels_csv(out / "truth_labels.csv", sim.truth)
     write_json(
         out / "manifest.json",
@@ -213,7 +198,7 @@ def _cmd_influence(args) -> int:
             "y": str(args.y),
             "g": args.g,
             "d": args.d,
-            "config": _config_echo(cfg),
+            "config": asdict(cfg),
             "top_column": int(report.ranking[0]),
         },
     )
@@ -263,7 +248,7 @@ def _cmd_benchmark(args) -> int:
             "g": args.g,
             "d_list": args.d_list,
             "reps": args.reps,
-            "config": _config_echo(cfg),
+            "config": asdict(cfg),
         },
     )
     return 0

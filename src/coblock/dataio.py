@@ -6,6 +6,12 @@ platform. JSON is emitted by a small deterministic writer (fixed key
 order, fixed float format) so serialize -> parse -> serialize is
 byte-identical.
 
+x.csv and y.csv are read by one routine: numpy parses each line's
+tokens exactly as float() would, one vectorized test checks every cell
+(0 or 1 in x, finite in y), and only on failure is the file scanned
+again to name the first offending cell. Blank lines are skipped, so a
+y.csv cannot carry p = 0 columns; write_y_csv refuses such a table.
+
 CSV formats:
     x.csv / y.csv          headerless, comma separated, one row per individual
     labels.csv             kind,index,label  (kind is "row" or "col", 1-based)
@@ -21,87 +27,73 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonBinaryValue, ParseError
+from .errors import CoblockError, DimensionMismatch, NonBinaryValue, ParseError
 from .model import BinaryMatrix, CovariateTable, HardLabels, ModelParams
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(value) -> str:
-    return "%.17g" % float(value)
+    return _FLOAT_FORMAT % float(value)
 
 
 def _read_rows(path, what: str):
+    """(line number, text) of every non-blank line, all with one field count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
-    rows = []
-    width = None
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(
-                f"{what} line {lineno} has {len(fields)} fields, expected {width}",
-                line=lineno,
-            )
-        rows.append((lineno, fields))
+    rows = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{what} file {path} contains no data rows")
+    width = rows[0][1].count(",") + 1
+    for lineno, line in rows:
+        if line.count(",") + 1 != width:
+            raise ParseError(
+                f"{what} line {lineno} has {line.count(',') + 1} fields, expected {width}",
+                line=lineno,
+            )
     return rows
 
 
+def _read_matrix(path, what: str, error, rule: str, ok):
+    """Float matrix of a headerless CSV whose every cell passes ok;
+    otherwise error names the first cell, in reading order, that is not
+    a number or breaks the rule."""
+    rows = _read_rows(path, what)
+    values = np.empty((len(rows), rows[0][1].count(",") + 1))
+    try:
+        for i, (_, line) in enumerate(rows):
+            values[i] = line.split(",")
+    except ValueError:
+        pass
+    else:
+        if ok(values).all():
+            return values
+    for lineno, line in rows:
+        for j, tok in enumerate(f.strip() for f in line.split(",")):
+            where = f"{what} entry {tok!r} at line {lineno}, column {j + 1}"
+            try:
+                val = float(tok)
+            except ValueError as exc:
+                raise error(f"{where} is not a number", line=lineno, column=j + 1) from exc
+            if not ok(val):
+                raise error(f"{where} is {rule}", line=lineno, column=j + 1)
+    raise AssertionError("unreachable: a failed parse names no cell")
+
+
 def load_dataset(x_path, y_path):
-    """Parse the binary matrix and covariate table, checking cell by cell.
+    """Parse the binary matrix and covariate table.
 
     x must contain only 0/1 entries; y must be numeric and finite; the
     two files must agree on the number of rows. Errors carry the 1-based
     line and column of the first offending cell. Blank lines are
     ignored.
     """
-    x_rows = _read_rows(x_path, "x")
-    xv = np.empty((len(x_rows), len(x_rows[0][1])))
-    for i, (lineno, fields) in enumerate(x_rows):
-        for j, tok in enumerate(fields):
-            try:
-                val = float(tok)
-            except ValueError as exc:
-                raise NonBinaryValue(
-                    f"x entry {tok!r} at line {lineno}, column {j + 1} is not a number",
-                    line=lineno,
-                    column=j + 1,
-                ) from exc
-            if val not in (0.0, 1.0):
-                raise NonBinaryValue(
-                    f"x entry {tok!r} at line {lineno}, column {j + 1} is not 0 or 1",
-                    line=lineno,
-                    column=j + 1,
-                )
-            xv[i, j] = val
-
-    y_rows = _read_rows(y_path, "y")
-    yv = np.empty((len(y_rows), len(y_rows[0][1])))
-    for i, (lineno, fields) in enumerate(y_rows):
-        for j, tok in enumerate(fields):
-            try:
-                val = float(tok)
-            except ValueError as exc:
-                raise ParseError(
-                    f"y entry {tok!r} at line {lineno}, column {j + 1} is not a number",
-                    line=lineno,
-                    column=j + 1,
-                ) from exc
-            if not np.isfinite(val):
-                raise ParseError(
-                    f"y entry {tok!r} at line {lineno}, column {j + 1} is not finite",
-                    line=lineno,
-                    column=j + 1,
-                )
-            yv[i, j] = val
-
+    xv = _read_matrix(x_path, "x", NonBinaryValue, "not 0 or 1", lambda v: (v == 0) | (v == 1))
+    yv = _read_matrix(y_path, "y", ParseError, "not finite", np.isfinite)
     if xv.shape[0] != yv.shape[0]:
         raise DimensionMismatch(
             f"x has {xv.shape[0]} rows but y has {yv.shape[0]}"
@@ -114,14 +106,19 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _write_matrix(path, rows) -> None:
+    _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
+
+
 def write_x_csv(path, x: BinaryMatrix) -> None:
-    lines = [",".join(str(int(v)) for v in row) for row in x.values]
-    _write_text(path, "\n".join(lines) + "\n")
+    digits = np.array(["0", "1"])
+    _write_matrix(path, (digits[row.astype(np.intp)].tolist() for row in x.values))
 
 
 def write_y_csv(path, y: CovariateTable) -> None:
-    lines = [",".join(format_float(v) for v in row) for row in y.values]
-    _write_text(path, "\n".join(lines) + "\n")
+    if y.p == 0:
+        raise CoblockError("cannot write y with p = 0 columns: its lines would be blank")
+    _write_matrix(path, np.char.mod(_FLOAT_FORMAT, y.values).tolist())
 
 
 def write_labels_csv(path, labels: HardLabels) -> None:
@@ -132,7 +129,7 @@ def write_labels_csv(path, labels: HardLabels) -> None:
 
 
 def read_labels_csv(path) -> HardLabels:
-    rows = _read_rows(path, "labels")
+    rows = [(n, [f.strip() for f in line.split(",")]) for n, line in _read_rows(path, "labels")]
     header_line, header = rows[0]
     if [h.lower() for h in header] != ["kind", "index", "label"]:
         raise ParseError(f"labels header {header!r} unexpected", line=header_line)

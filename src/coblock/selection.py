@@ -11,11 +11,11 @@ coefficients against log(n*m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bem import BemConfig, FitResult, config_with_seed, fit
+from .bem import BemConfig, FitResult, fit
 from .errors import AllRestartsFailed, ParamValidationError
 from .model import BinaryMatrix, CovariateTable
 
@@ -112,7 +112,7 @@ def select(
     failures = {}
     for (g, d), cell_seed in zip(pairs, seeds):
         try:
-            result = fit(x, y, g, d, config_with_seed(cfg, cell_seed))
+            result = fit(x, y, g, d, replace(cfg, seed=int(cell_seed)))
         except AllRestartsFailed as exc:
             failures[(g, d)] = str(exc)
             continue

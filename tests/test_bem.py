@@ -12,7 +12,6 @@ from coblock.bem import (
     BemConfig,
     FitResult,
     col_e_step,
-    config_with_seed,
     fit,
     free_energy,
     m_step_beta,
@@ -67,12 +66,6 @@ class TestConfig:
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ValueError):
             BemConfig(**{field: value})
-
-    def test_config_with_seed(self):
-        cfg = BemConfig(n_restarts=4, seed=1)
-        other = config_with_seed(cfg, 99)
-        assert other.seed == 99
-        assert other.n_restarts == 4
 
 
 class TestEStepsAgainstReference:

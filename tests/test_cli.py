@@ -151,6 +151,19 @@ class TestErrors:
         assert rc == 1
         assert "line 1, column 2" in capsys.readouterr().err
 
+    def test_simulate_refuses_zero_covariates(self, tmp_path, capsys):
+        # blank lines are skipped on reading, so a y.csv cannot carry p = 0
+        write_params_json(tmp_path / "p0.json", cb.separated_params(2, 2, p=0, seed=2))
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--params", str(tmp_path / "p0.json"), "--n", "10", "--m", "4",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "x.csv").exists() and not (out / "y.csv").exists()
+
     def test_bad_range_syntax(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,1\n")
         (tmp_path / "y.csv").write_text("1\n")

@@ -1,7 +1,13 @@
 """CSV/JSON serialization: parse errors, round trips, byte stability."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import coblock as cb
 from coblock.dataio import (
@@ -16,17 +22,36 @@ from coblock.dataio import (
     write_y_csv,
 )
 from coblock.errors import DimensionMismatch, NonBinaryValue, ParseError
-from coblock.model import HardLabels
+from coblock.model import BinaryMatrix, CovariateTable, HardLabels
 
 
 def write(path, text):
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def load_error(tmp_path, x_text, y_text):
+    """The error load_dataset raises on these file contents."""
+    write(tmp_path / "x.csv", x_text)
+    write(tmp_path / "y.csv", y_text)
+    with pytest.raises(ParseError) as info:
+        load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
+    return info.value
 
 
 class TestLoadDataset:
-    def test_small_instance(self, tmp_path):
-        write(tmp_path / "x.csv", "0,1\n1,0\n")
-        write(tmp_path / "y.csv", "0.5\n-0.5\n")
+    @pytest.mark.parametrize(
+        "x_text, y_text",
+        [
+            ("0,1\n1,0\n", "0.5\n-0.5\n"),
+            ("0,1\r\n1,0\r\n", "0.5\r\n-0.5\r\n"),
+            (" 0 ,\t1\n1 , 0 \n", "  0.5\n-0.5  \n"),
+            ("0,1.0\n1e0,0\n", "0.5\n-0.5\n"),
+        ],
+        ids=["plain", "crlf", "padded", "float_spellings"],
+    )
+    def test_small_instance(self, tmp_path, x_text, y_text):
+        write(tmp_path / "x.csv", x_text)
+        write(tmp_path / "y.csv", y_text)
         x, y = load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
         assert (x.n, x.m, y.p) == (2, 2, 1)
         np.testing.assert_array_equal(x.values, [[0, 1], [1, 0]])
@@ -44,11 +69,16 @@ class TestLoadDataset:
         with pytest.raises(DimensionMismatch, match="2 rows but y has 3"):
             load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
 
-    def test_non_binary_entry_names_cell(self, tmp_path):
-        write(tmp_path / "x.csv", "0,1\n1,2\n")
-        write(tmp_path / "y.csv", "1\n2\n")
-        with pytest.raises(NonBinaryValue, match="line 2, column 2"):
-            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
+    @pytest.mark.parametrize(
+        "x_text, line, column",
+        [("0,1\n1,2\n", 2, 2), ("0,2\n1,zero\n", 1, 2)],
+        ids=["only_bad_cell", "first_in_reading_order"],
+    )
+    def test_non_binary_entry_names_cell(self, tmp_path, x_text, line, column):
+        exc = load_error(tmp_path, x_text, "1\n2\n")
+        assert type(exc) is NonBinaryValue
+        assert str(exc) == f"x entry '2' at line {line}, column {column} is not 0 or 1"
+        assert (exc.line, exc.column) == (line, column)
 
     def test_non_numeric_x_entry(self, tmp_path):
         write(tmp_path / "x.csv", "0,zero\n1,0\n")
@@ -56,17 +86,31 @@ class TestLoadDataset:
         with pytest.raises(NonBinaryValue, match="line 1, column 2"):
             load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
 
-    def test_non_numeric_y_entry(self, tmp_path):
-        write(tmp_path / "x.csv", "0\n1\n")
-        write(tmp_path / "y.csv", "1.0\noops\n")
-        with pytest.raises(ParseError, match="line 2, column 1"):
-            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
+    @pytest.mark.parametrize(
+        "y_text, message, line",
+        [
+            ("1.0\noops\n", "y entry 'oops' at line 2, column 1 is not a number", 2),
+            ("1.0\ninf\n", "y entry 'inf' at line 2, column 1 is not finite", 2),
+            ("nan\n1.0\n", "y entry 'nan' at line 1, column 1 is not finite", 1),
+        ],
+        ids=["word", "inf", "nan"],
+    )
+    def test_non_numeric_y_entry(self, tmp_path, y_text, message, line):
+        exc = load_error(tmp_path, "0\n1\n", y_text)
+        assert type(exc) is ParseError
+        assert str(exc) == message
+        assert (exc.line, exc.column) == (line, 1)
 
-    def test_ragged_rows(self, tmp_path):
-        write(tmp_path / "x.csv", "0,1\n1\n")
-        write(tmp_path / "y.csv", "1\n2\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
+    @pytest.mark.parametrize(
+        "x_text", ["0,1\n1\n", "0,zero\n1\n"], ids=["short_row", "before_bad_cell"]
+    )
+    def test_ragged_rows(self, tmp_path, x_text):
+        # every row is split before any cell is parsed, so the ragged
+        # line 2 is named even when line 1 holds a bad cell
+        exc = load_error(tmp_path, x_text, "1\n2\n")
+        assert type(exc) is ParseError
+        assert str(exc) == "x line 2 has 1 fields, expected 2"
+        assert (exc.line, exc.column) == (2, None)
 
     def test_missing_file(self, tmp_path):
         write(tmp_path / "y.csv", "1\n")
@@ -96,7 +140,35 @@ class TestJson:
             dumps_json({"a": object()})
 
 
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+@st.composite
+def datasets(draw):
+    """Small x/y arrays of one row count; y has p >= 1 columns and edge values."""
+    n, m, p = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    x = draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from([0.0, 1.0])))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    return x, draw(hnp.arrays(np.float64, (n, p), elements=cells))
+
+
 class TestRoundTrips:
+    @given(datasets())
+    def test_matrix_writers_match_per_cell_formulas(self, arrays):
+        x, y = arrays
+        # reference: one str()/"%.17g" call per cell, joined by "," and "\n"
+        x_ref = "".join(",".join(str(int(v)) for v in row) + "\n" for row in x)
+        y_ref = "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in y)
+        with tempfile.TemporaryDirectory() as tmp:
+            xp, yp = Path(tmp) / "x.csv", Path(tmp) / "y.csv"
+            write_x_csv(xp, BinaryMatrix(x))
+            write_y_csv(yp, CovariateTable(y))
+            assert xp.read_bytes() == x_ref.encode()
+            assert yp.read_bytes() == y_ref.encode()
+            bx, cy = load_dataset(xp, yp)
+        assert bx.values.tobytes() == x.tobytes()
+        assert cy.values.tobytes() == y.tobytes()
+
     def test_params_json_byte_stable(self, tmp_path):
         params = cb.separated_params(2, 3, p=2, seed=1)
         path1 = tmp_path / "a.json"
