@@ -21,7 +21,10 @@ coefficients to infinity.
 The linear predictors eta, their softplus and the Gaussian
 log-densities depend only on the covariates and the parameters, so they
 are computed once per parameter set and shared by the E-steps and the
-free-energy evaluations of a sweep.
+free-energy evaluations of a sweep. Likewise x @ r and the column
+masses change only with the column posterior r, so they are formed once
+per column posterior and shared by the row E-step, the logistic
+M-steps and the free-energy evaluations that read it.
 """
 
 from __future__ import annotations
@@ -188,6 +191,28 @@ def _param_terms(y: CovariateTable, params: ModelParams):
     return terms
 
 
+def _col_stats(x: BinaryMatrix, r: np.ndarray):
+    """x r (n,d) and the column-cluster masses r_.l (d,).
+
+    The row E-step, both logistic M-steps and all four free-energy
+    evaluations of a sweep read them, but only the column E-step changes
+    r, so they sit in a second slot of the same memo, keyed on the
+    identities of x and r. Only an r that is read-only and owns its
+    data is cached (_single_fit freezes every r it makes); a writable
+    r, or a read-only view of memory that may still change, is
+    recomputed on every call.
+    """
+    last = getattr(_memo, "cols", None)
+    if last is not None and last[0] is x and last[1] is r:
+        return last[2]
+    stats = (x.values @ r, r.sum(axis=0))
+    if not r.flags.writeable and r.base is None:
+        for a in stats:
+            a.setflags(write=False)
+        _memo.cols = (x, r, stats)
+    return stats
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     # the row normalizer is scipy.special.logsumexp's, step for step (the
     # row maxima are left out of the sum and added back through log1p),
@@ -216,8 +241,7 @@ def row_e_step(
     """
     r = np.asarray(r, dtype=float)
     eta, sp, logphi = _param_terms(y, params)
-    xr = x.values @ r
-    rmass = r.sum(axis=0)
+    xr, rmass = _col_stats(x, r)
     bern = np.einsum("il,ikl->ik", xr, eta) - sp @ rmass
     w = covariate_density_weight(cov_weight, x.m)
     with np.errstate(divide="ignore"):
@@ -465,8 +489,7 @@ def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemCon
     r = np.asarray(r, dtype=float)
     beta_init = np.asarray(beta_init, dtype=float)
     g, d, q = beta_init.shape
-    xr = x.values @ r
-    rmass = r.sum(axis=0)
+    xr, rmass = _col_stats(x, r)
     coefs, clamped = _newton_stack(
         y.augmented,
         np.repeat(t.T, d, axis=0),
@@ -490,8 +513,7 @@ def free_energy(
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     eta, sp, logphi = _param_terms(y, params)
-    xr = x.values @ r
-    rmass = r.sum(axis=0)
+    xr, rmass = _col_stats(x, r)
     tmass = t.sum(axis=0)
     bern = float(np.einsum("ik,il,ikl->", t, xr, eta)) - float(
         np.einsum("ik,ikl,l->", t, sp, rmass)
@@ -589,6 +611,9 @@ def _init_assignments(x, y, g, d, cfg: BemConfig, rng: np.random.Generator):
 
 def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None) -> FitResult:
     t, r = _init_assignments(x, y, g, d, cfg, rng) if init is None else init
+    # a frozen r lets every sub-step share one x @ r (see _col_stats)
+    r = np.array(r, dtype=float)
+    r.setflags(write=False)
     pi, rho = m_step_proportions(t, r)
     means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
     coefs, _ = m_step_beta(x, y, t, r, np.zeros((g, d, y.p + 1)), cfg)
@@ -608,6 +633,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
         trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
 
         r = col_e_step(x, y, t, params)
+        r.setflags(write=False)
         trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
 
         rho = r.sum(axis=0) / x.m
@@ -670,22 +696,21 @@ def _merge_split_candidates(
     aug = y.augmented
     g = t.shape[1]
 
-    def score_feats(cols, target):
+    def score_feats(xs, target):
         eta_c = aug @ result.params.coefs[:, target, :].T
         sig = expit(eta_c)
         dims = []
         for k in range(g):
             wk = t[:, k]
-            cross = x.values[:, cols].T @ (wk[:, None] * aug)
+            cross = xs.values.T @ (wk[:, None] * aug)
             fisher = np.sqrt((wk * sig[:, k] * (1.0 - sig[:, k])) @ (aug**2) + 1e-12)
             dims.append(cross / fisher)
         return np.hstack(dims)
 
-    def sharpen(cols, halves, iters=3):
-        """Two-block column EM on x[:, cols] with fixed row posteriors and
-        uniform mixing weights; purifies a noisy 2-means nucleation so the
-        global refit does not wash the split back out."""
-        xs = BinaryMatrix(x.values[:, cols])
+    def sharpen(xs, halves, iters=3):
+        """Two-block column EM on the columns xs with fixed row posteriors
+        and uniform mixing weights; purifies a noisy 2-means nucleation so
+        the global refit does not wash the split back out."""
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(iters):
@@ -703,22 +728,26 @@ def _merge_split_candidates(
             cols = np.nonzero(merged == c)[0]
             if cols.size < 2:
                 continue
-            sf = score_feats(cols, c)
-            feats[c] = (cols, sf)
+            # one gather of the cluster's columns serves scoring and sharpening
+            xs = BinaryMatrix(x.values[:, cols])
+            sf = score_feats(xs, c)
+            feats[c] = (cols, xs, sf)
             dev = sf - sf.mean(axis=0)
             ranked.append((-float((dev**2).mean()), c))
         ranked.sort()
         for _, target in ranked[:2]:
-            cols, sf = feats[target]
+            cols, xs, sf = feats[target]
             halves = _lloyd(sf, 2, rng)
             if halves.min() == halves.max():
                 continue
-            halves = sharpen(cols, halves)
+            halves = sharpen(xs, halves)
             if halves.min() == halves.max():
                 continue
             lab = merged.copy()
             lab[cols[halves == 1]] = b
             candidates.append((t, _soft_from_hard(lab, d)))
+        # release this move's gathers before the next move makes its own
+        feats = xs = None
     return candidates
 
 
@@ -755,7 +784,7 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
     try:
         return _fit_restarts(x, y, g, d, cfg)
     finally:
-        _memo.last = None
+        _memo.last = _memo.cols = None
 
 
 def _fit_restarts(x, y, g, d, cfg: BemConfig) -> FitResult:

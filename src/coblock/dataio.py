@@ -45,6 +45,8 @@ def _read_rows(path, what: str):
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     rows = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{what} file {path} contains no data rows")
@@ -140,12 +142,12 @@ def read_labels_csv(path) -> HardLabels:
             idx, lab = int(idx_tok), int(lab_tok)
         except ValueError as exc:
             raise ParseError(f"labels line {lineno} is not integral", line=lineno) from exc
-        if kind == "row":
-            z[idx] = lab
-        elif kind == "col":
-            w[idx] = lab
-        else:
+        if kind not in ("row", "col"):
             raise ParseError(f"labels kind {kind!r} at line {lineno}", line=lineno)
+        labels = z if kind == "row" else w
+        if idx in labels:
+            raise ParseError(f"labels line {lineno} repeats {kind} index {idx}", line=lineno)
+        labels[idx] = lab
     if sorted(z) != list(range(1, len(z) + 1)) or sorted(w) != list(range(1, len(w) + 1)):
         raise ParseError("labels indices are not contiguous from 1")
     return HardLabels(
@@ -263,7 +265,7 @@ def read_params_json(path) -> ModelParams:
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read params file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"params file {path} is not valid JSON: {exc}") from exc
     missing = [k for k in ("row_props", "col_props", "coefs", "means", "covs") if k not in payload]
     if missing:

@@ -413,6 +413,37 @@ class TestFreeEnergy:
         assert a == pytest.approx(b, abs=1e-10)
 
 
+class TestColumnStatistics:
+    @staticmethod
+    def readers(x, y, t, r, params):
+        return (
+            row_e_step(x, y, r, params),
+            free_energy(x, y, t, r, params),
+            m_step_beta(x, y, t, r, params.coefs, BemConfig())[0],
+        )
+
+    def test_changed_r_is_never_served_stale(self):
+        # x @ r is shared only for a frozen r that owns its data; a
+        # caller's writable r, or a frozen view of writable memory, may
+        # change between calls and is read afresh each time
+        rng = np.random.default_rng(21)
+        x, y = rand_instance(rng, 30, 12, 1)
+        params = rand_params(rng, 2, 3, 1)
+        t = rand_soft(rng, 30, 2)
+        writable = rand_soft(rng, 12, 3)
+        base = rand_soft(rng, 12, 3)
+        view = base.view()
+        view.setflags(write=False)
+        for r, mem in ((writable, writable), (view, base)):
+            self.readers(x, y, t, r, params)
+            mem[:] = rand_soft(rng, 12, 3)
+            second = self.readers(x, y, t, r, params)
+            fresh = self.readers(x, y, t, np.array(r), params)
+            for a, b in zip(second, fresh):
+                np.testing.assert_array_equal(a, b)
+        assert writable.flags.writeable and base.flags.writeable and t.flags.writeable
+
+
 class TestMapLabels:
     def test_examples(self):
         soft = SoftAssignments(
@@ -506,6 +537,41 @@ class TestFit:
         assert res.n_iters == 8
         assert len(calls) <= 2 * res.n_iters + 1
         assert bem._memo.last is None
+
+    def test_x_times_r_once_per_column_posterior(self, monkeypatch):
+        # r changes once per sweep, so x @ r is formed once per column
+        # posterior, not by each sub-step that reads it; the memo holding
+        # it is emptied when fit returns and when it raises
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        calls = []
+
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                if self.shape == sim.x.values.shape:  # x @ r, not x.T @ (...)
+                    calls.append(1)
+                return np.asarray(self) @ other
+
+        x = BinaryMatrix(sim.x.values)
+        object.__setattr__(x, "values", x.values.view(CountingMatrix))
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
+                        max_outer_iters=8)
+        res = fit(x, sim.y, 2, 2, cfg)
+        assert res.n_iters == 8
+        assert 0 < len(calls) <= 2 * res.n_iters + 1
+        assert bem._memo.last is None and bem._memo.cols is None
+
+        filled = []
+
+        def collapse(*args):
+            filled.append(bem._memo.last is not None and bem._memo.cols is not None)
+            raise EmptyCluster("column posterior collapsed")
+
+        monkeypatch.setattr(bem, "col_e_step", collapse)
+        with pytest.raises(AllRestartsFailed):
+            fit(x, sim.y, 2, 2, cfg)
+        assert filled == [True]
+        assert bem._memo.last is None and bem._memo.cols is None
 
     def test_deterministic_given_seed(self):
         truth = cb.separated_params(2, 2, p=1, seed=5)

@@ -151,6 +151,18 @@ class TestErrors:
         assert rc == 1
         assert "line 1, column 2" in capsys.readouterr().err
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_bytes(b"0,1\n1,\xff\n")
+        (tmp_path / "y.csv").write_text("1\n2\n")
+        rc = main([
+            "fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+            "--g", "1", "--d", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: x file") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
     def test_simulate_refuses_zero_covariates(self, tmp_path, capsys):
         # blank lines are skipped on reading, so a y.csv cannot carry p = 0
         write_params_json(tmp_path / "p0.json", cb.separated_params(2, 2, p=0, seed=2))

@@ -112,10 +112,20 @@ class TestLoadDataset:
         assert str(exc) == "x line 2 has 1 fields, expected 2"
         assert (exc.line, exc.column) == (2, None)
 
-    def test_missing_file(self, tmp_path):
-        write(tmp_path / "y.csv", "1\n")
-        with pytest.raises(ParseError):
-            load_dataset(tmp_path / "nope.csv", tmp_path / "y.csv")
+    @pytest.mark.parametrize(
+        "x_bytes, reason",
+        [(None, "cannot read"), (b"0,1\n1,\xff\n", "is not UTF-8 text")],
+        ids=["missing", "not_utf8"],
+    )
+    def test_unreadable_file(self, tmp_path, x_bytes, reason):
+        if x_bytes is not None:
+            (tmp_path / "x.csv").write_bytes(x_bytes)
+        write(tmp_path / "y.csv", "1\n2\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv")
+        assert type(info.value) is ParseError
+        assert f"x file {tmp_path / 'x.csv'}" in str(info.value)
+        assert reason in str(info.value)
 
 
 class TestFormatFloat:
@@ -208,6 +218,17 @@ class TestRoundTrips:
         loaded = read_labels_csv(tmp_path / "labels.csv")
         np.testing.assert_array_equal(loaded.row_labels, labels.row_labels)
         np.testing.assert_array_equal(loaded.col_labels, labels.col_labels)
+
+    def test_labels_reject_repeated_index(self, tmp_path):
+        write(tmp_path / "labels.csv", "kind,index,label\nrow,1,1\nrow,1,2\ncol,1,1\n")
+        with pytest.raises(ParseError, match="labels line 3 repeats row index 1") as info:
+            read_labels_csv(tmp_path / "labels.csv")
+        assert info.value.line == 3
+
+    def test_params_json_not_utf8(self, tmp_path):
+        (tmp_path / "p.json").write_bytes(b'{"row_props": [1.0\xff]}')
+        with pytest.raises(ParseError, match="not valid JSON"):
+            read_params_json(tmp_path / "p.json")
 
     def test_labels_reject_bad_header(self, tmp_path):
         write(tmp_path / "labels.csv", "a,b,c\nrow,1,1\n")
