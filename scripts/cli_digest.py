@@ -1,0 +1,94 @@
+"""SHA-256 of every file the CLI writes on two fixed workloads.
+
+Runs, in process and with relative paths inside a fresh temporary
+directory:
+  - the acceptance criterion 9 fixture: `simulate` (n=40, m=12), then
+    `fit`, `select`, `influence` and `benchmark` on its files;
+  - a wide matrix: `simulate` at 2000x1000, then `influence --restarts 3`.
+It writes one "digest  path" line per output file, sorted by path, to
+OUT. timing.csv holds wall-clock times and is left out. BLAS is pinned
+to one thread so the bytes do not depend on thread scheduling.
+
+Two commits write the same bytes exactly when their OUT files are
+equal. Copy this script into each checkout's scripts/ directory, run it
+there and diff the two files:
+
+    python3 scripts/cli_digest.py digests.txt
+"""
+
+import os
+
+# must be set before numpy loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import coblock as cb  # noqa: E402
+from coblock.cli import main as cli_main  # noqa: E402
+from coblock.dataio import write_params_json  # noqa: E402
+
+FIXTURE = [
+    ["simulate", "--params", "c9/truth.json", "--n", "40", "--m", "12",
+     "--out", "c9/sim", "--seed", "9"],
+    ["fit", "--x", "c9/sim/x.csv", "--y", "c9/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g", "2", "--d", "2", "--out", "c9/fit"],
+    ["select", "--x", "c9/sim/x.csv", "--y", "c9/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g-range", "1:2", "--d-range", "1:2", "--out", "c9/select"],
+    ["influence", "--x", "c9/sim/x.csv", "--y", "c9/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g", "2", "--d", "2", "--out", "c9/influence"],
+    ["benchmark", "--n-list", "30", "--m", "8", "--g", "2", "--d-list", "2", "--reps", "1",
+     "--restarts", "1", "--max-iters", "2", "--seed", "1", "--out", "c9/benchmark"],
+]
+WIDE = [
+    ["simulate", "--params", "wide/truth.json", "--n", "2000", "--m", "1000",
+     "--out", "wide/sim", "--seed", "5"],
+    ["influence", "--x", "wide/sim/x.csv", "--y", "wide/sim/y.csv", "--restarts", "3",
+     "--seed", "6", "--g", "2", "--d", "2", "--out", "wide/influence"],
+]
+
+
+def digests(root: Path):
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != "timing.csv":
+            yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(root).as_posix()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="file to write the digests to")
+    out = parser.parse_args().out.resolve()
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, truth in (
+                ("c9", cb.separated_params(2, 2, p=1, seed=3)),
+                ("wide", cb.separated_params(2, 2, p=1, mean_scale=10.0)),
+            ):
+                Path(name).mkdir()
+                write_params_json(Path(name) / "truth.json", truth)
+            for argv in FIXTURE + WIDE:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(argv)
+                if code != 0:
+                    print(f"coblock {' '.join(argv)} exited {code}", file=sys.stderr)
+                    return 1
+            lines = [f"{digest}  {path}\n" for digest, path in digests(Path(tmp))]
+        finally:
+            os.chdir(here)
+    out.write_text("".join(lines))
+    print(f"{len(lines)} files digested into {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

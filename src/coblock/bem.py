@@ -729,7 +729,7 @@ def _merge_split_candidates(
             if cols.size < 2:
                 continue
             # one gather of the cluster's columns serves scoring and sharpening
-            xs = BinaryMatrix(x.values[:, cols])
+            xs = BinaryMatrix._adopt(x.values[:, cols])
             sf = score_feats(xs, c)
             feats[c] = (cols, xs, sf)
             dev = sf - sf.mean(axis=0)

@@ -84,6 +84,16 @@ def _add_bem_flags(sub) -> None:
     )
 
 
+def _check_counts(args) -> None:
+    """Reject counts and tolerances no run can use, before any file is read."""
+    for flag in ("restarts", "max_iters", "reps"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ParseError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    if getattr(args, "tol", 0.0) < 0:
+        raise ParseError(f"--tol must be >= 0, got {args.tol}")
+
+
 def _bem_config(args) -> BemConfig:
     return BemConfig(
         max_outer_iters=args.max_iters,
@@ -316,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.handler(args)
     except CoblockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,11 +6,15 @@ platform. JSON is emitted by a small deterministic writer (fixed key
 order, fixed float format) so serialize -> parse -> serialize is
 byte-identical.
 
-x.csv and y.csv are read by one routine: numpy parses each line's
-tokens exactly as float() would, one vectorized test checks every cell
-(0 or 1 in x, finite in y), and only on failure is the file scanned
-again to name the first offending cell. Blank lines are skipped, so a
-y.csv cannot carry p = 0 columns; write_y_csv refuses such a table.
+x.csv and y.csv are read by one routine. A file of one-digit cells in
+the exact layout write_x_csv produces (equal "d,d,...,d" lines, each
+ending in "\n", no blank line) is decoded from its bytes, each cell its
+digit; every other file is parsed per token, numpy reading each line's
+tokens exactly as float() would. One vectorized test then checks every
+cell (0 or 1 in x, finite in y), and only on failure is the file
+scanned again, token by token, to name the first offending cell. Blank
+lines are skipped, so a y.csv cannot carry p = 0 columns; write_y_csv
+refuses such a table. write_x_csv writes the file's bytes in one call.
 
 CSV formats:
     x.csv / y.csv          headerless, comma separated, one row per individual
@@ -38,16 +42,23 @@ def format_float(value) -> str:
     return _FLOAT_FORMAT % float(value)
 
 
-def _read_rows(path, what: str):
-    """(line number, text) of every non-blank line, all with one field count."""
+def _read_bytes(path, what: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _text_rows(raw: bytes, path, what: str):
+    """(line number, text) of every non-blank line, all with one field count."""
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
-    rows = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line.strip()]
+    # the universal newlines of text-mode reading: CRLF and a lone CR end a line
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rows = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{what} file {path} contains no data rows")
     width = rows[0][1].count(",") + 1
@@ -60,11 +71,33 @@ def _read_rows(path, what: str):
     return rows
 
 
+def _digit_cells(raw: bytes):
+    """The cells of a file of equal "d,d,...,d\\n" lines of one-digit
+    cells, each its byte minus ord("0") (what float() gives); None for
+    any other file."""
+    k = raw.find(b"\n")
+    if k < 1 or k % 2 == 0 or len(raw) % (k + 1):
+        return None
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(-1, k + 1)
+    digits = lines[:, 0:k:2] - np.uint8(ord("0"))
+    if (
+        (digits > 9).any()
+        or (lines[:, 1:k:2] != ord(",")).any()
+        or (lines[:, k] != ord("\n")).any()
+    ):
+        return None
+    return digits.astype(float)
+
+
 def _read_matrix(path, what: str, error, rule: str, ok):
     """Float matrix of a headerless CSV whose every cell passes ok;
     otherwise error names the first cell, in reading order, that is not
     a number or breaks the rule."""
-    rows = _read_rows(path, what)
+    raw = _read_bytes(path, what)
+    values = _digit_cells(raw)
+    if values is not None and ok(values).all():
+        return values
+    rows = _text_rows(raw, path, what)
     values = np.empty((len(rows), rows[0][1].count(",") + 1))
     try:
         for i, (_, line) in enumerate(rows):
@@ -100,7 +133,8 @@ def load_dataset(x_path, y_path):
         raise DimensionMismatch(
             f"x has {xv.shape[0]} rows but y has {yv.shape[0]}"
         )
-    return BinaryMatrix(xv), CovariateTable(yv)
+    # xv is fresh and its every cell passed the 0/1 test above
+    return BinaryMatrix._adopt(xv), CovariateTable(yv)
 
 
 def _write_text(path, text: str) -> None:
@@ -108,19 +142,21 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_matrix(path, rows) -> None:
-    _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
-
-
 def write_x_csv(path, x: BinaryMatrix) -> None:
-    digits = np.array(["0", "1"])
-    _write_matrix(path, (digits[row.astype(np.intp)].tolist() for row in x.values))
+    # one (n, 2m) byte image of the file: digit, comma, ..., digit, newline
+    lines = np.full((x.n, 2 * x.m), ord(","), dtype=np.uint8)
+    lines[:, 0::2] = x.values
+    lines[:, 0::2] += ord("0")
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(lines)
 
 
 def write_y_csv(path, y: CovariateTable) -> None:
     if y.p == 0:
         raise CoblockError("cannot write y with p = 0 columns: its lines would be blank")
-    _write_matrix(path, np.char.mod(_FLOAT_FORMAT, y.values).tolist())
+    rows = np.char.mod(_FLOAT_FORMAT, y.values).tolist()
+    _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
 
 
 def write_labels_csv(path, labels: HardLabels) -> None:
@@ -131,7 +167,10 @@ def write_labels_csv(path, labels: HardLabels) -> None:
 
 
 def read_labels_csv(path) -> HardLabels:
-    rows = [(n, [f.strip() for f in line.split(",")]) for n, line in _read_rows(path, "labels")]
+    rows = [
+        (n, [f.strip() for f in line.split(",")])
+        for n, line in _text_rows(_read_bytes(path, "labels"), path, "labels")
+    ]
     header_line, header = rows[0]
     if [h.lower() for h in header] != ["kind", "index", "label"]:
         raise ParseError(f"labels header {header!r} unexpected", line=header_line)
@@ -244,15 +283,12 @@ def write_json(path, value) -> None:
     _write_text(path, dumps_json(value))
 
 
+_PARAM_FIELDS = ("row_props", "col_props", "coefs", "means", "covs")
+
+
 def params_to_dict(params: ModelParams) -> dict:
     """Plain nested-list form of the parameters (covariances row-major)."""
-    return {
-        "row_props": params.row_props.tolist(),
-        "col_props": params.col_props.tolist(),
-        "coefs": params.coefs.tolist(),
-        "means": params.means.tolist(),
-        "covs": params.covs.tolist(),
-    }
+    return {key: getattr(params, key).tolist() for key in _PARAM_FIELDS}
 
 
 def write_params_json(path, params: ModelParams) -> None:
@@ -267,18 +303,18 @@ def read_params_json(path) -> ModelParams:
         raise ParseError(f"cannot read params file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"params file {path} is not valid JSON: {exc}") from exc
-    missing = [k for k in ("row_props", "col_props", "coefs", "means", "covs") if k not in payload]
+    if not isinstance(payload, dict):
+        raise ParseError(f"params file {path} is not a JSON object")
+    missing = [k for k in _PARAM_FIELDS if k not in payload]
     if missing:
         raise ParseError(f"params file {path} missing fields: {', '.join(missing)}")
-    means = np.array(payload["means"], dtype=float)
-    covs = np.array(payload["covs"], dtype=float)
-    if means.ndim == 2 and means.shape[1] == 0:
+    arrays = {}
+    for key in _PARAM_FIELDS:
+        try:
+            arrays[key] = np.array(payload[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"params file {path} field {key!r} is not numeric: {exc}") from exc
+    if arrays["means"].ndim == 2 and arrays["means"].shape[1] == 0:
         # p = 0 collapses the nested-list covariances to shape (g, 0)
-        covs = covs.reshape((means.shape[0], 0, 0))
-    return ModelParams(
-        row_props=np.array(payload["row_props"], dtype=float),
-        col_props=np.array(payload["col_props"], dtype=float),
-        coefs=np.array(payload["coefs"], dtype=float),
-        means=means,
-        covs=covs,
-    )
+        arrays["covs"] = arrays["covs"].reshape((arrays["means"].shape[0], 0, 0))
+    return ModelParams(**arrays)

@@ -36,9 +36,24 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An n-by-m matrix of {0,1} observations (rows: individuals, columns: variables)."""
+    """An n-by-m matrix of {0,1} observations (rows: individuals, columns: variables).
+
+    The constructor copies its input and checks every cell. _adopt wraps
+    a fresh float array already known to be a non-empty 2-D 0/1 matrix
+    without either; its users are simulate.generate (a comparison
+    result), dataio.load_dataset (after the reader's 0/1 test) and the
+    split-merge column gathers of a BinaryMatrix in bem.
+    """
 
     values: np.ndarray
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "BinaryMatrix":
+        """Take ownership of values and freeze it; no copy, no check."""
+        values.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "values", values)
+        return obj
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)

@@ -68,7 +68,7 @@ def generate(config: SimConfig) -> SimOutput:
     eta_full = np.einsum("iq,ilq->il", y.augmented, params.coefs[z])
     probs = expit(eta_full[:, w])
     u = np.random.default_rng(ss_cells).random((n, m))
-    x = BinaryMatrix((u < probs).astype(float))
+    x = BinaryMatrix._adopt((u < probs).astype(float))
 
     return SimOutput(x=x, y=y, truth=HardLabels(z + 1, w + 1))
 

@@ -9,6 +9,10 @@ the point is that they share no code path with the package.
 newton_block is a per-block damped Newton solver, one block at a time
 in plain numpy: the reference the stacked solver in
 coblock.bem.m_step_beta is checked against block by block.
+
+read_x_reference reads an x.csv one token at a time with float(),
+under the loader's error rules: the reference coblock.dataio's byte
+decoder and numpy parse are checked against.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from coblock.bem import (
     weighted_logistic_hessian,
     weighted_logistic_objective,
 )
+from coblock.errors import NonBinaryValue, ParseError
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams
 
 mp.mp.dps = 50
@@ -229,3 +234,40 @@ def newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init, cfg:
     eta = y_aug @ beta
     clamped = bool(eta.size and np.max(np.abs(eta)) >= bound - 1e-6)
     return beta, clamped
+
+
+def read_x_reference(path) -> np.ndarray:
+    """x.csv as load_dataset reads it, one float() per token.
+
+    Rules, in order: the file must be UTF-8 (read in text mode, so CRLF
+    and a lone CR end a line); blank lines are skipped and at least one
+    line must remain; every line has the field count of the first; then,
+    in reading order, each stripped token must parse and be 0 or 1.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"x file {path} is not UTF-8 text: {exc}") from exc
+    rows = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    if not rows:
+        raise ParseError(f"x file {path} contains no data rows")
+    fields = [(n, line.split(",")) for n, line in rows]
+    width = len(fields[0][1])
+    for lineno, toks in fields:
+        if len(toks) != width:
+            raise ParseError(
+                f"x line {lineno} has {len(toks)} fields, expected {width}", line=lineno
+            )
+    cells = []
+    for lineno, toks in fields:
+        for j, tok in enumerate(t.strip() for t in toks):
+            where = f"x entry {tok!r} at line {lineno}, column {j + 1}"
+            try:
+                val = float(tok)
+            except ValueError:
+                raise NonBinaryValue(f"{where} is not a number", line=lineno, column=j + 1)
+            if val not in (0.0, 1.0):
+                raise NonBinaryValue(f"{where} is not 0 or 1", line=lineno, column=j + 1)
+            cells.append(val)
+    return np.array(cells).reshape(len(fields), width)

@@ -176,6 +176,32 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (out / "x.csv").exists() and not (out / "y.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("fit", "select", "influence")
+            for flag, value in (("--restarts", "0"), ("--max-iters", "0"), ("--tol", "-1"))
+        ]
+        + [("benchmark", flag, "0") for flag in ("--restarts", "--max-iters", "--reps")],
+    )
+    def test_unusable_counts_fail_before_any_file(self, tmp_path, capsys, command, flag, value):
+        # the input files do not exist: the flag must be named first
+        argv = {
+            "fit": ["--g", "1", "--d", "1"],
+            "select": ["--g-range", "1:1", "--d-range", "1:1"],
+            "influence": ["--g", "1", "--d", "1"],
+            "benchmark": ["--n-list", "10"],
+        }[command]
+        if command != "benchmark":
+            argv += ["--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope2.csv")]
+        out = tmp_path / "out"
+        rc = main([command, *argv, "--out", str(out), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_range_syntax(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,1\n")
         (tmp_path / "y.csv").write_text("1\n")

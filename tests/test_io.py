@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,6 +23,7 @@ from coblock.dataio import (
 )
 from coblock.errors import DimensionMismatch, NonBinaryValue, ParseError
 from coblock.model import BinaryMatrix, CovariateTable, HardLabels
+from helpers import read_x_reference
 
 
 def write(path, text):
@@ -90,10 +91,11 @@ class TestLoadDataset:
         "y_text, message, line",
         [
             ("1.0\noops\n", "y entry 'oops' at line 2, column 1 is not a number", 2),
+            ("1\na\n", "y entry 'a' at line 2, column 1 is not a number", 2),
             ("1.0\ninf\n", "y entry 'inf' at line 2, column 1 is not finite", 2),
             ("nan\n1.0\n", "y entry 'nan' at line 1, column 1 is not finite", 1),
         ],
-        ids=["word", "inf", "nan"],
+        ids=["word", "letter", "inf", "nan"],
     )
     def test_non_numeric_y_entry(self, tmp_path, y_text, message, line):
         exc = load_error(tmp_path, "0\n1\n", y_text)
@@ -126,6 +128,66 @@ class TestLoadDataset:
         assert type(info.value) is ParseError
         assert f"x file {tmp_path / 'x.csv'}" in str(info.value)
         assert reason in str(info.value)
+
+
+# cells and line ends that break the one-digit layout write_x_csv produces
+NEAR_MISS_CELLS = ["2", "9", "11", "1.0", "1e0", "-0", " 1", "0 ", "", "\u0661", "x"]
+NEAR_MISS_ENDS = ["\r\n", "\r", ",\n", "\n\n", " \n", ""]
+
+
+@st.composite
+def x_texts(draw):
+    """Mostly x.csv text as write_x_csv writes it, with up to three near misses:
+    odd cells, odd line ends (CRLF, trailing comma, blank line, joined
+    lines) or a row one cell short or long."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from("01")) for _ in range(m)] for _ in range(n)]
+    ends = ["\n"] * n
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["cell", "end", "width"]))
+        if kind == "cell" and rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(st.sampled_from(NEAR_MISS_CELLS))
+        elif kind == "end":
+            ends[i] = draw(st.sampled_from(NEAR_MISS_ENDS))
+        elif kind == "width":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    return "".join(",".join(row) + end for row, end in zip(rows, ends))
+
+
+class TestLoaderAgainstReference:
+    @settings(max_examples=400)
+    @given(x_texts())
+    @example("0,11\n,1\n")
+    @example("0,1\n1,0")
+    @example("1\n0\n")
+    @example("0,1,\n1,0,\n")
+    @example("0,1\r\n1,0\r\n")
+    @example("0, 1\n1,0\n")
+    @example("0,1.0\n1,0\n")
+    @example("0,2\n1,0\n")
+    @example("\u0661,0\n0,1\n")
+    @example("\n0,1\n1,0\n")
+    def test_same_array_or_same_error(self, x_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            xp, yp = Path(tmp) / "x.csv", Path(tmp) / "y.csv"
+            xp.write_bytes(x_text.encode("utf-8"))
+            try:
+                want = read_x_reference(xp)
+            except ParseError as exc:
+                yp.write_text("0\n")
+                with pytest.raises(ParseError) as info:
+                    load_dataset(xp, yp)
+                got = info.value
+                assert (type(got), str(got), got.line, got.column) == (
+                    type(exc), str(exc), exc.line, exc.column
+                )
+            else:
+                yp.write_text("0\n" * want.shape[0])
+                x, _ = load_dataset(xp, yp)
+                assert x.values.shape == want.shape
+                assert x.values.tobytes() == want.tobytes()
 
 
 class TestFormatFloat:
@@ -164,6 +226,9 @@ def datasets(draw):
 
 class TestRoundTrips:
     @given(datasets())
+    @example((np.array([[0.0, 1.0, 1.0]]), np.array([[0.5, -0.0]])))
+    @example((np.array([[1.0], [0.0], [1.0]]), np.array([[1e308], [5e-324], [-1.0]])))
+    @example((np.array([[1.0]]), np.array([[0.0]])))
     def test_matrix_writers_match_per_cell_formulas(self, arrays):
         x, y = arrays
         # reference: one str()/"%.17g" call per cell, joined by "," and "\n"
@@ -224,6 +289,31 @@ class TestRoundTrips:
         with pytest.raises(ParseError, match="labels line 3 repeats row index 1") as info:
             read_labels_csv(tmp_path / "labels.csv")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "is not a JSON object"),
+            ("[1, 2]", "is not a JSON object"),
+            (
+                '{"row_props": "a", "col_props": [1], "coefs": [[[0, 0]]], '
+                '"means": [[0]], "covs": [[[1]]]}',
+                "field 'row_props' is not numeric",
+            ),
+            (
+                '{"row_props": [1], "col_props": [1], "coefs": [[[0, 0]]], '
+                '"means": [[0], [0, 1]], "covs": [[[1]]]}',
+                "field 'means' is not numeric",
+            ),
+        ],
+        ids=["number", "list", "string_field", "ragged_field"],
+    )
+    def test_params_json_wrong_shape(self, tmp_path, text, message):
+        write(tmp_path / "p.json", text)
+        with pytest.raises(ParseError) as info:
+            read_params_json(tmp_path / "p.json")
+        assert type(info.value) is ParseError
+        assert str(info.value).startswith(f"params file {tmp_path / 'p.json'} {message}")
 
     def test_params_json_not_utf8(self, tmp_path):
         (tmp_path / "p.json").write_bytes(b'{"row_props": [1.0\xff]}')

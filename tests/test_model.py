@@ -119,6 +119,12 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             x.values[0, 0] = 1.0
 
+    def test_adopt_freezes_without_copy(self):
+        v = np.array([[0.0, 1.0], [1.0, 1.0]])
+        x = BinaryMatrix._adopt(v)
+        assert x.values is v and not v.flags.writeable
+        assert (x.n, x.m) == (2, 2)
+
 
 class TestCovariateTable:
     def test_augmented_layout(self):
