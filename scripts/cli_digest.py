@@ -1,10 +1,12 @@
-"""SHA-256 of every file the CLI writes on two fixed workloads.
+"""SHA-256 of every file the CLI writes on three fixed workloads.
 
 Runs, in process and with relative paths inside a fresh temporary
 directory:
   - the acceptance criterion 9 fixture: `simulate` (n=40, m=12), then
     `fit`, `select`, `influence` and `benchmark` on its files;
-  - a wide matrix: `simulate` at 2000x1000, then `influence --restarts 3`.
+  - a wide matrix: `simulate` at 2000x1000, then `influence --restarts 3`;
+  - three covariates, so the multivariate Gaussian path runs: `simulate`
+    (n=40, m=12), then `fit`, `select` and `influence` on its files.
 It writes one "digest  path" line per output file, sorted by path, to
 OUT. timing.csv holds wall-clock times and is left out. BLAS is pinned
 to one thread so the bytes do not depend on thread scheduling.
@@ -54,6 +56,16 @@ WIDE = [
     ["influence", "--x", "wide/sim/x.csv", "--y", "wide/sim/y.csv", "--restarts", "3",
      "--seed", "6", "--g", "2", "--d", "2", "--out", "wide/influence"],
 ]
+P3 = [
+    ["simulate", "--params", "p3/truth.json", "--n", "40", "--m", "12",
+     "--out", "p3/sim", "--seed", "9"],
+    ["fit", "--x", "p3/sim/x.csv", "--y", "p3/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g", "2", "--d", "2", "--out", "p3/fit"],
+    ["select", "--x", "p3/sim/x.csv", "--y", "p3/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g-range", "1:3", "--d-range", "1:2", "--out", "p3/select"],
+    ["influence", "--x", "p3/sim/x.csv", "--y", "p3/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g", "2", "--d", "2", "--out", "p3/influence"],
+]
 
 
 def digests(root: Path):
@@ -73,10 +85,11 @@ def main() -> int:
             for name, truth in (
                 ("c9", cb.separated_params(2, 2, p=1, seed=3)),
                 ("wide", cb.separated_params(2, 2, p=1, mean_scale=10.0)),
+                ("p3", cb.separated_params(2, 2, p=3, seed=3)),
             ):
                 Path(name).mkdir()
                 write_params_json(Path(name) / "truth.json", truth)
-            for argv in FIXTURE + WIDE:
+            for argv in FIXTURE + WIDE + P3:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main(argv)
                 if code != 0:

@@ -16,7 +16,8 @@ The per-block logistic fits are damped Newton-Raphson solves of a
 weighted binomial log-likelihood, run for all g*d blocks at once as one
 stack in which each block keeps its own stopping and step rules; linear
 predictors are kept inside a box so complete separation cannot push
-coefficients to infinity.
+coefficients to infinity. The objective, gradient and Hessian kernels
+take a leading block axis; the public weighted_logistic_* run them on one.
 
 The linear predictors eta, their softplus and the Gaussian
 log-densities depend only on the covariates and the parameters, so they
@@ -97,9 +98,10 @@ class BemConfig:
             raise ValueError("iteration and restart counts must be >= 1")
         if self.split_merge_rounds < 0:
             raise ValueError("split_merge_rounds must be >= 0")
-        if self.free_energy_rel_tol < 0 or self.nr_grad_tol <= 0:
+        # written so that NaN fails every test
+        if not (self.free_energy_rel_tol >= 0 and self.nr_grad_tol > 0):
             raise ValueError("free_energy_rel_tol must be >= 0 and nr_grad_tol > 0")
-        if self.ridge < 0 or self.min_cluster_mass <= 0 or self.predictor_bound <= 0:
+        if not (self.ridge >= 0 and self.min_cluster_mass > 0 and self.predictor_bound > 0):
             raise ValueError("ridge >= 0, min_cluster_mass > 0, predictor_bound > 0 required")
         if self.init_strategy not in (INIT_RANDOM_SOFT, INIT_KMEANS_LIKE):
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
@@ -159,7 +161,7 @@ def map_labels(assignments: SoftAssignments) -> HardLabels:
 
 
 def _softplus(eta: np.ndarray) -> np.ndarray:
-    """log(1 + e^eta) by the formula np.logaddexp(0, eta) uses, from
+    """log(1 + e^eta) by the formula of numpy's logaddexp(0, eta), from
     vectorized exp and log1p: within an ulp of it and several times faster."""
     return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
 
@@ -297,15 +299,39 @@ def m_step_gaussian(
         raise EmptyCluster(
             f"row cluster {low[0] + 1} collapsed (mass {mass[low[0]]:.3e})"
         )
-    g = t.shape[1]
-    p = y.p
     means = (t.T @ y.values) / mass[:, None]
     diffs = y.values[None, :, :] - means[:, None, :]
     covs = np.einsum("ki,kip,kiq->kpq", t.T, diffs, diffs) / mass[:, None, None]
-    covs = covs + ridge * np.eye(p)[None, :, :]
-    if p == 0:
-        covs = np.zeros((g, 0, 0))
-    return means, covs
+    return means, covs + ridge * np.eye(y.p)[None, :, :]
+
+
+def _objective(eta, w, c, tm):
+    """Sum over the last axis of w * (c * eta - tm * softplus(eta)): one
+    value per block of a (..., n) stack; tm broadcasts against eta."""
+    return np.einsum("...n,...n->...", w, c * eta - tm * _softplus(eta))
+
+
+def _gradient(sig, y_aug, w, c, tm):
+    """Gradient of _objective in beta, from sig = expit(eta): (..., q)."""
+    return (w * (c - tm * sig)) @ y_aug
+
+
+def _pair_products(y_aug):
+    """Index pairs a <= b of the q predictor columns and their products,
+    (n, q(q+1)/2): every Hessian of a stack then comes from one matmul."""
+    a, b = np.triu_indices(y_aug.shape[1])
+    return (a, b), y_aug[:, a] * y_aug[:, b]
+
+
+def _neg_hessian(sig, w, tm, pairs):
+    """Minus the Hessian of _objective in beta, (..., q, q), from sig and
+    the _pair_products of y_aug."""
+    (a, b), prods = pairs
+    q = b[-1] + 1
+    neg_hess = np.empty(sig.shape[:-1] + (q, q))
+    neg_hess[..., a, b] = (w * tm * sig * (1.0 - sig)) @ prods
+    neg_hess[..., b, a] = neg_hess[..., a, b]
+    return neg_hess
 
 
 def weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_mass) -> float:
@@ -316,20 +342,15 @@ def weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_
     problem row_weights are the row posteriors t_ik, success_counts_i is
     the r-weighted count of ones in row i, and trial_mass is r_.l.
     """
-    eta = y_aug @ beta
-    return float(np.dot(row_weights, success_counts * eta - trial_mass * np.logaddexp(0.0, eta)))
+    return float(_objective(y_aug @ beta, row_weights, success_counts, trial_mass))
 
 
 def weighted_logistic_gradient(beta, y_aug, row_weights, success_counts, trial_mass) -> np.ndarray:
-    eta = y_aug @ beta
-    return y_aug.T @ (row_weights * (success_counts - trial_mass * expit(eta)))
+    return _gradient(expit(y_aug @ beta), y_aug, row_weights, success_counts, trial_mass)
 
 
 def weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_mass) -> np.ndarray:
-    eta = y_aug @ beta
-    sig = expit(eta)
-    w = row_weights * trial_mass * sig * (1.0 - sig)
-    return -(y_aug.T * w) @ y_aug
+    return -_neg_hessian(expit(y_aug @ beta), row_weights, trial_mass, _pair_products(y_aug))
 
 
 def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
@@ -368,11 +389,11 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
     """Damped Newton ascent of K independent block objectives at once.
 
     Block b is row b of weights (K, n), counts (K, n), mass (K,) and
-    beta_init (K, q); its objective is weighted_logistic_objective with
-    those arguments, in the same order of operations (softplus from
-    _softplus). Each block follows its own rules: it stops once its
-    gradient is below nr_grad_tol times its Bernoulli mass, so the
-    iteration count does not grow with the data size; its step is
+    beta_init (K, q); its objective, gradient and Hessian come from the
+    kernels behind weighted_logistic_*, with one expit per iteration
+    shared by the last two. Each block follows its own rules: it stops
+    once its gradient is below nr_grad_tol times its Bernoulli mass, so
+    the iteration count does not grow with the data size; its step is
     scaled so every linear predictor stays in [-predictor_bound,
     predictor_bound], then halved until the objective does not decrease
     (at most 60 tries, and never below a relative step of 1e-15); it
@@ -388,18 +409,10 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
     idx = np.arange(beta.shape[0])
     b = beta.copy()
     eta = b @ y_aug.T
-    w, c, tm = weights, counts, mass
-
-    def objective(rows, eta):
-        return np.einsum(
-            "kn,kn->k", w[rows], c[rows] * eta - tm[rows, None] * _softplus(eta)
-        )
-
-    obj = objective(slice(None), eta)
-    scale = 1.0 + tm * w.sum(axis=1)
-    # products of predictor columns a <= b: all Hessians in one matmul
-    upper = np.triu_indices(y_aug.shape[1])
-    prods = y_aug[:, upper[0]] * y_aug[:, upper[1]]
+    w, c, tm = weights, counts, mass[:, None]
+    obj = _objective(eta, w, c, tm)
+    scale = 1.0 + tm[:, 0] * w.sum(axis=1)
+    pairs = _pair_products(y_aug)
 
     def retire(keep, *extra):
         """Store the blocks not in keep and drop them from the active set."""
@@ -416,16 +429,13 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
         if not idx.size:
             break
         sig = expit(eta)
-        grad = (w * (c - tm[:, None] * sig)) @ y_aug
+        grad = _gradient(sig, y_aug, w, c, tm)
         live = np.max(np.abs(grad), axis=1) >= cfg.nr_grad_tol * scale
         if not live.all():
             sig, grad = retire(live, sig, grad)
             if not idx.size:
                 break
-        neg_hess = np.empty(grad.shape + grad.shape[1:])
-        neg_hess[:, upper[0], upper[1]] = (w * tm[:, None] * sig * (1.0 - sig)) @ prods
-        neg_hess[:, upper[1], upper[0]] = neg_hess[:, upper[0], upper[1]]
-        delta = _solve_boosted(neg_hess, grad, cfg.ridge)
+        delta = _solve_boosted(_neg_hessian(sig, w, tm, pairs), grad, cfg.ridge)
         solved = np.all(np.isfinite(delta), axis=1)
         if not solved.all():
             (delta,) = retire(solved, delta)
@@ -453,7 +463,7 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
         for _ in range(60):
             cand = b[rows] + step[rows, None] * delta[rows]
             cand_eta = cand @ y_aug.T
-            cand_obj = objective(rows, cand_eta)
+            cand_obj = _objective(cand_eta, w[rows], c[rows], tm[rows])
             up = cand_obj >= obj[rows]
             hit = trying[up]
             b[hit], eta[hit], obj[hit] = cand[up], cand_eta[up], cand_obj[up]

@@ -90,7 +90,7 @@ def _check_counts(args) -> None:
         value = getattr(args, flag, 1)
         if value < 1:
             raise ParseError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    if getattr(args, "tol", 0.0) < 0:
+    if not getattr(args, "tol", 0.0) >= 0:  # NaN fails too
         raise ParseError(f"--tol must be >= 0, got {args.tol}")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from .errors import NotPositiveDefinite, ParamValidationError
@@ -124,9 +123,9 @@ class ModelParams:
         means: (g, p) Gaussian means of the covariates per row cluster.
         covs: (g, p, p) Gaussian covariances, symmetric positive definite.
 
-    A lower Cholesky factor of each covariance is computed and cached at
-    construction; since instances are immutable, any "mutation" builds a
-    new instance and re-validates.
+    The lower Cholesky factors of all covariances are computed in one
+    call and cached at construction; since instances are immutable, any
+    "mutation" builds a new instance and re-validates.
     """
 
     row_props: np.ndarray
@@ -167,9 +166,7 @@ class ModelParams:
         if p > 0 and np.max(np.abs(covs - np.transpose(covs, (0, 2, 1)))) > _SYMMETRY_TOL:
             raise ParamValidationError("a covariance matrix is not symmetric")
 
-        chols = np.empty_like(covs)
-        for k in range(g):
-            chols[k] = _cholesky(covs[k])
+        chols = _cholesky(covs)
         chols.setflags(write=False)
 
         object.__setattr__(self, "row_props", pi)
@@ -233,7 +230,7 @@ class HardLabels:
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising NotPositiveDefinite on failure."""
+    """Lower Cholesky factors of a (..., p, p) stack, raising NotPositiveDefinite."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -255,34 +252,26 @@ def bernoulli_link_logpdf(x, y_aug: np.ndarray, coef: np.ndarray) -> float:
     return float(x * eta - np.logaddexp(0.0, eta))
 
 
+def _gaussian_logpdfs(rows: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """(n, g) log-densities of rows (n, p) under N(means[k], L_k L_k^T), for
+    the factors L (g, p, p): one batched u = (rows - mean_k) L_k^-T. The
+    result is C-ordered, so sums over it run as over any (n, g) array."""
+    u = (rows[None, :, :] - means[:, None, :]) @ np.linalg.inv(chols).transpose(0, 2, 1)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    quad = np.ascontiguousarray(np.sum(u * u, axis=2).T)
+    return -0.5 * (means.shape[1] * LOG_2PI + logdet + quad)
+
+
 def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Log-density of a multivariate Gaussian at a single point."""
-    chol = _cholesky(np.asarray(cov, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return float(gaussian_logpdf_rows(y[None, :], mean, chol)[0])
-
-
-def gaussian_logpdf_rows(rows: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Vectorized Gaussian log-density over the rows of a matrix.
-
-    `chol` is the lower Cholesky factor of the covariance. With p = 0 the
-    density is an empty product, hence identically log 1 = 0.
-    """
-    p = mean.size
-    if p == 0:
-        return np.zeros(rows.shape[0])
-    u = solve_triangular(chol, (rows - mean).T, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (p * LOG_2PI + logdet + np.sum(u * u, axis=0))
+    chol = _cholesky(np.asarray(cov, dtype=float)[None])
+    row, mean = (np.reshape(np.asarray(v, dtype=float), (1, -1)) for v in (y, mean))
+    return float(_gaussian_logpdfs(row, mean, chol)[0, 0])
 
 
 def gaussian_cluster_logpdfs(y: CovariateTable, params: ModelParams) -> np.ndarray:
     """(n, g) matrix of log phi(y_i; mean_k, cov_k) using the cached factors."""
-    out = np.empty((y.n, params.g))
-    for k in range(params.g):
-        out[:, k] = gaussian_logpdf_rows(y.values, params.means[k], params.cov_chols[k])
-    return out
+    return _gaussian_logpdfs(y.values, params.means, params.cov_chols)
 
 
 def covariate_density_weight(cov_weight: str, m: int) -> float:

@@ -119,6 +119,11 @@ def separated_params(
     no two column clusters share a pattern (requires 2**g >= d);
     otherwise signs are drawn at random.
     """
+    if g < 1 or d < 1 or p < 0:
+        raise ParamValidationError(
+            f"need g >= 1 row clusters, d >= 1 column clusters and p >= 0 covariates,"
+            f" got g={g}, d={d}, p={p}"
+        )
     rng = np.random.default_rng(seed)
     row_props = np.full(g, 1.0 / g)
     col_props = np.full(d, 1.0 / d)

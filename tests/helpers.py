@@ -8,7 +8,12 @@ the point is that they share no code path with the package.
 
 newton_block is a per-block damped Newton solver, one block at a time
 in plain numpy: the reference the stacked solver in
-coblock.bem.m_step_beta is checked against block by block.
+coblock.bem.m_step_beta is checked against block by block. Its
+objective and derivatives come from the public weighted_logistic_*
+functions, which run the same kernels as the stack on one block; the
+kernels themselves are checked against finite differences (acceptance
+criterion 3), so newton_block checks the stack's loop, box and step
+rules rather than its arithmetic.
 
 read_x_reference reads an x.csv one token at a time with float(),
 under the loader's error rules: the reference coblock.dataio's byte

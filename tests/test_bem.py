@@ -61,6 +61,11 @@ class TestConfig:
             ("ridge", -1e-3),
             ("cov_weight", "2"),
             ("split_merge_rounds", -1),
+            ("free_energy_rel_tol", float("nan")),
+            ("nr_grad_tol", float("nan")),
+            ("ridge", float("nan")),
+            ("min_cluster_mass", float("nan")),
+            ("predictor_bound", float("nan")),
         ],
     )
     def test_rejects_bad_fields(self, field, value):

@@ -181,7 +181,9 @@ class TestErrors:
         [
             (command, flag, value)
             for command in ("fit", "select", "influence")
-            for flag, value in (("--restarts", "0"), ("--max-iters", "0"), ("--tol", "-1"))
+            for flag, value in (
+                ("--restarts", "0"), ("--max-iters", "0"), ("--tol", "-1"), ("--tol", "nan")
+            )
         ]
         + [("benchmark", flag, "0") for flag in ("--restarts", "--max-iters", "--reps")],
     )
@@ -200,6 +202,15 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--g", "0"], ["--g", "-1"], ["--d-list", "0"]])
+    def test_benchmark_unusable_cluster_counts(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = main(["benchmark", "--n-list", "10", "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need g >= 1") and err.count("\n") == 1
         assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path, capsys):

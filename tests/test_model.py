@@ -13,9 +13,11 @@ from coblock.model import (
     ModelParams,
     SoftAssignments,
     bernoulli_link_logpdf,
+    gaussian_cluster_logpdfs,
     gaussian_logpdf,
     logistic,
 )
+from helpers import mp_gauss_logpdf, rand_params
 
 LOG_HALF = -0.6931471805599453
 
@@ -98,6 +100,37 @@ class TestGaussianLogpdf:
                 for v in ys]
         integral = 0.5 * (hi - lo) * np.dot(weights, dens)
         assert integral == pytest.approx(1.0, abs=1e-8)
+
+
+class TestGaussianClusterLogpdfs:
+    """The batched (n, g) kernel against 50-digit densities, row by row."""
+
+    @staticmethod
+    def check(y: CovariateTable, params: ModelParams):
+        have = gaussian_cluster_logpdfs(y, params)
+        assert have.shape == (y.n, params.g) and have.flags.c_contiguous
+        for i in range(y.n):
+            for k in range(params.g):
+                want = float(mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k]))
+                assert have[i, k] == pytest.approx(want, rel=1e-12), (i, k)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_random_spd_covariances(self, g, p):
+        rng = np.random.default_rng(100 * g + p)
+        params = rand_params(rng, g, 1, p)
+        self.check(CovariateTable(rng.normal(scale=2.0, size=(7, p))), params)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_ridge_scale_variance(self, p):
+        # a one-row cluster's covariance is the ridge alone
+        rng = np.random.default_rng(p)
+        base = rand_params(rng, 2, 1, p)
+        covs = base.covs.copy()
+        covs[0] = 1e-8 * np.eye(p)
+        params = ModelParams(base.row_props, base.col_props, base.coefs, base.means, covs)
+        rows = base.means[0] + 1e-4 * rng.normal(size=(5, p))
+        self.check(CovariateTable(np.vstack([rows, rng.normal(size=(2, p))])), params)
 
 
 class TestBinaryMatrix:

@@ -104,6 +104,11 @@ class TestSeparatedParams:
         cols = [tuple(signs[:, l]) for l in range(3)]
         assert len(set(cols)) == 3
 
+    @pytest.mark.parametrize("g,d,p", [(0, 2, 1), (2, 0, 1), (-1, 2, 1), (2, -3, 1), (2, 2, -1)])
+    def test_rejects_unusable_sizes(self, g, d, p):
+        with pytest.raises(ParamValidationError, match=f"got g={g}, d={d}, p={p}"):
+            separated_params(g, d, p=p)
+
 
 class TestLabelErrorRate:
     def test_identity(self):
