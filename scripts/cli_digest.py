@@ -1,4 +1,4 @@
-"""SHA-256 of every file the CLI writes on three fixed workloads.
+"""SHA-256 of every file the CLI writes on four fixed workloads.
 
 Runs, in process and with relative paths inside a fresh temporary
 directory:
@@ -6,7 +6,9 @@ directory:
     `fit`, `select`, `influence` and `benchmark` on its files;
   - a wide matrix: `simulate` at 2000x1000, then `influence --restarts 3`;
   - three covariates, so the multivariate Gaussian path runs: `simulate`
-    (n=40, m=12), then `fit`, `select` and `influence` on its files.
+    (n=40, m=12), then `fit`, `select` and `influence` on its files;
+  - four column clusters, so split-merge runs with d >= 3 and keeps a
+    move: `simulate` (n=40, m=16), then `fit --d 4`.
 It writes one "digest  path" line per output file, sorted by path, to
 OUT. timing.csv holds wall-clock times and is left out. BLAS is pinned
 to one thread so the bytes do not depend on thread scheduling.
@@ -67,6 +69,13 @@ P3 = [
      "--g", "2", "--d", "2", "--out", "p3/influence"],
 ]
 
+D4 = [
+    ["simulate", "--params", "d4/truth.json", "--n", "40", "--m", "16",
+     "--out", "d4/sim", "--seed", "9"],
+    ["fit", "--x", "d4/sim/x.csv", "--y", "d4/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g", "2", "--d", "4", "--out", "d4/fit"],
+]
+
 
 def digests(root: Path):
     for path in sorted(root.rglob("*")):
@@ -86,10 +95,11 @@ def main() -> int:
                 ("c9", cb.separated_params(2, 2, p=1, seed=3)),
                 ("wide", cb.separated_params(2, 2, p=1, mean_scale=10.0)),
                 ("p3", cb.separated_params(2, 2, p=3, seed=3)),
+                ("d4", cb.separated_params(2, 4, p=1, seed=1)),
             ):
                 Path(name).mkdir()
                 write_params_json(Path(name) / "truth.json", truth)
-            for argv in FIXTURE + WIDE + P3:
+            for argv in FIXTURE + WIDE + P3 + D4:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main(argv)
                 if code != 0:

@@ -69,15 +69,18 @@ class BemConfig:
     predictor_bound is the box half-width for linear predictors inside
     the logistic solver (separation guard). nr_grad_tol is relative to
     each block's Bernoulli mass, so solver effort is size-invariant.
-    split_merge_rounds controls the post-restart refinement that merges
-    the two most similar column clusters and splits the most
-    heterogeneous one, keeping the move only when the free energy
-    improves; it targets optima where one true column cluster is fitted
-    twice while two others share a cluster. A fit stops once a sweep
-    raises the free energy by less than free_energy_rel_tol * |F|; a
-    tolerance of 0 disables that test, so every fit runs exactly
-    max_outer_iters sweeps (a fixed point would otherwise end it early
-    at any positive tolerance).
+    split_merge_rounds caps the rounds of post-restart refinement. A
+    round tries up to 3 merges of one column cluster into another, the
+    cheapest first, and for each merge splits each of the 2 most
+    heterogeneous clusters onto the freed index; each distinct column
+    partition among these candidates is refit once. The best refit
+    replaces the fit only if it raises the free energy, and a round
+    without such a gain ends the refinement. It targets optima where one
+    true column cluster is fitted twice while two others share a
+    cluster. A fit stops once a sweep raises the free energy by less
+    than free_energy_rel_tol * |F|; a tolerance of 0 disables that test,
+    so every fit runs exactly max_outer_iters sweeps (a fixed point
+    would otherwise end it early at any positive tolerance).
     """
 
     max_outer_iters: int = 200
@@ -669,6 +672,14 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
     )
 
 
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two labelings of the same items group them alike, up to a
+    renaming of the labels: each label of a meets exactly one label of b
+    and the other way round."""
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
 def _merge_split_candidates(
     x, y, result: FitResult, cfg: BemConfig, rng: np.random.Generator, n_moves: int = 3
 ):
@@ -677,8 +688,14 @@ def _merge_split_candidates(
 
     Merge pairs are ranked by the column-score cost of reassigning the
     donor's columns (a cheap reassignment flags a duplicated cluster);
-    for each pair the two most heterogeneous clusters are tried as split
-    targets. Heterogeneity and the 2-means splits both use per-column
+    for each of the n_moves cheapest pairs the two most heterogeneous
+    clusters are tried as split targets. A candidate that groups the
+    columns as an earlier candidate does, up to cluster names, is dropped
+    once its rng draws are taken (so later draws do not move), and each
+    distinct partition is refit once. A candidate that reproduces
+    result's own partition stays: its refit starts from result's row
+    posteriors and may still gain.
+    Heterogeneity and the 2-means splits both use per-column
     score statistics of the target block's logistic fit, whitened by
     their Fisher scale: under a correct homogeneous block the whitened
     deviations are unit-scale noise for every block, so the ranking is
@@ -728,7 +745,7 @@ def _merge_split_candidates(
             r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), 0.0))
         return r.argmax(axis=1)
 
-    candidates = []
+    candidates, labs = [], []
     for _, b, a in moves[:n_moves]:
         merged = w.copy()
         merged[merged == b] = a
@@ -755,6 +772,12 @@ def _merge_split_candidates(
                 continue
             lab = merged.copy()
             lab[cols[halves == 1]] = b
+            # refits are deterministic and, up to round-off, blind to
+            # cluster names: a partition already queued this round would
+            # only repeat an earlier refit, which ties under _gains
+            if any(_same_partition(lab, seen) for seen in labs):
+                continue
+            labs.append(lab)
             candidates.append((t, _soft_from_hard(lab, d)))
         # release this move's gathers before the next move makes its own
         feats = xs = None

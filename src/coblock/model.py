@@ -146,7 +146,8 @@ class ModelParams:
                 raise ParamValidationError(f"{name} must be a non-empty 1-D vector")
             if np.any(vec < 0):
                 raise ParamValidationError(f"{name} has a negative component")
-            if abs(vec.sum() - 1.0) > _PROB_SUM_TOL:
+            # written so that NaN fails it too: a NaN sums to NaN
+            if not abs(vec.sum() - 1.0) <= _PROB_SUM_TOL:
                 raise ParamValidationError(f"{name} sums to {vec.sum()!r}, expected 1")
 
         g, d = pi.size, rho.size
@@ -204,7 +205,8 @@ class SoftAssignments:
                 raise ParamValidationError(f"{name} must be 2-D")
             if np.any(probs < 0) or np.any(probs > 1):
                 raise ParamValidationError(f"{name} has entries outside [0, 1]")
-            if np.max(np.abs(probs.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+            # written so that NaN fails it too: a NaN sums to NaN
+            if not np.max(np.abs(probs.sum(axis=1) - 1.0)) <= _ROW_SUM_TOL:
                 raise ParamValidationError(f"rows of {name} do not sum to 1")
         object.__setattr__(self, "row_probs", t)
         object.__setattr__(self, "col_probs", r)

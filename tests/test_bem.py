@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import coblock as cb
 from coblock import bem
@@ -634,3 +636,87 @@ class TestFit:
         res = fit(x, y, 2, 2, BemConfig(n_restarts=2, seed=29))
         ll = mp_exact_loglik(x, y, res.params, cov_weight="m")
         assert res.final_free_energy <= ll + 1e-9
+
+
+def _canonical(labels):
+    """Labels renamed in order of first appearance: equal exactly when
+    two labelings group the items alike."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in np.asarray(labels).tolist())
+
+
+def _fit_bytes(res: FitResult):
+    arrays = (res.free_energy_trace, res.params.row_props, res.params.col_props,
+              res.params.coefs, res.params.means, res.params.covs, res.assignments.row_probs,
+              res.assignments.col_probs, res.map_labels.row_labels, res.map_labels.col_labels)
+    return [a.tobytes() for a in arrays] + [res.converged, res.n_iters]
+
+
+labelings = st.lists(st.integers(0, 3), min_size=1, max_size=12).map(np.array)
+
+
+class TestSplitMerge:
+    @given(labelings, st.permutations(range(10)))
+    def test_same_partition_ignores_label_names(self, a, names):
+        b = np.array(names)[a]
+        assert bem._same_partition(a, b) and bem._same_partition(b, a)
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8))
+    def test_same_partition_against_reference(self, pairs):
+        a, b = (np.array(v) for v in zip(*pairs))
+        want = _canonical(a) == _canonical(b)
+        assert bem._same_partition(a, b) == want == bem._same_partition(b, a)
+
+    @given(labelings, st.data())
+    def test_moved_column_or_merged_clusters_differ(self, a, data):
+        used = np.unique(a).tolist()
+        assume(len(used) >= 2)
+        j = data.draw(st.integers(0, a.size - 1))
+        moved = a.copy()
+        moved[j] = data.draw(st.sampled_from([v for v in used if v != a[j]]))
+        merged = np.where(a == used[0], used[1], a)
+        for b in (moved, merged):
+            assert not bem._same_partition(a, b) and not bem._same_partition(b, a)
+
+    def test_repeated_partition_is_refit_once(self, monkeypatch):
+        # cell (3, 2) of `select --g-range 1:3 --d-range 1:2 --seed 1` on
+        # the p = 3 fixture of scripts/cli_digest.py: each round's
+        # candidates are one partition under two namings, so each round
+        # refits once instead of twice, and the result keeps every bit
+        truth = cb.separated_params(2, 2, p=3, seed=3)
+        sim = cb.generate(cb.SimConfig(n=40, m=12, params=truth, seed=9))
+        cell_seed = np.random.SeedSequence(1).generate_state(6, dtype=np.uint64)[5]
+        cfg = BemConfig(n_restarts=2, seed=int(cell_seed))
+        inits = []
+        inner = bem._single_fit
+
+        def counting(*args, init=None):
+            inits.append(init is not None)
+            return inner(*args, init=init)
+
+        monkeypatch.setattr(bem, "_single_fit", counting)
+        got = fit(sim.x, sim.y, 3, 2, cfg)
+        refits = sum(inits)
+        inits.clear()
+        monkeypatch.setattr(bem, "_same_partition", lambda a, b: False)
+        unfiltered = fit(sim.x, sim.y, 3, 2, cfg)
+        assert (refits, sum(inits)) == (2, 4)
+        assert _fit_bytes(got) == _fit_bytes(unfiltered)
+        # the refit of the restart's own partition wins and must not be dropped
+        restarts_only = fit(sim.x, sim.y, 3, 2, replace(cfg, split_merge_rounds=0))
+        assert bem._gains(got, restarts_only)
+
+    def test_candidates_have_distinct_partitions(self, monkeypatch):
+        truth = cb.separated_params(2, 4, p=1, seed=1)
+        sim = cb.generate(cb.SimConfig(n=40, m=16, params=truth, seed=9))
+        rounds = []
+        inner = bem._merge_split_candidates
+        monkeypatch.setattr(
+            bem, "_merge_split_candidates",
+            lambda *args: rounds.append(inner(*args)) or rounds[-1],
+        )
+        fit(sim.x, sim.y, 2, 4, BemConfig(n_restarts=2, seed=1))
+        assert len(rounds) == 2 and all(len(c) >= 2 for c in rounds)
+        for candidates in rounds:
+            parts = [_canonical(r.argmax(axis=1)) for _, r in candidates]
+            assert len(set(parts)) == len(parts)

@@ -213,6 +213,21 @@ class TestErrors:
         assert err.startswith("error: need g >= 1") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_simulate_rejects_nan_proportions(self, tmp_path, capsys):
+        # json reads NaN; a NaN proportion must not reach the sampler
+        write_params_json(tmp_path / "p.json", cb.separated_params(2, 2, p=1, seed=2))
+        text = (tmp_path / "p.json").read_text()
+        (tmp_path / "p.json").write_text(text.replace('"row_props": [0.5,', '"row_props": [NaN,'))
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--params", str(tmp_path / "p.json"), "--n", "10", "--m", "4",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row_props sums to") and err.count("\n") == 1
+        assert not (out / "x.csv").exists()
+
     def test_bad_range_syntax(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,1\n")
         (tmp_path / "y.csv").write_text("1\n")

@@ -202,6 +202,15 @@ class TestModelParams:
         with pytest.raises(ParamValidationError):
             ModelParams(**bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("row_props", [np.nan, 0.5]), ("row_props", [np.nan, np.nan]), ("col_props", [np.nan]),
+    ])
+    def test_props_reject_nan(self, field, value):
+        bad = self._valid()
+        bad[field] = np.array(value)
+        with pytest.raises(ParamValidationError, match=f"{field} sums to"):
+            ModelParams(**bad)
+
     def test_cov_must_be_symmetric(self):
         bad = self._valid()
         bad["coefs"] = np.zeros((2, 1, 3))
@@ -231,6 +240,15 @@ class TestAssignmentsAndLabels:
     def test_soft_entries_within_unit_interval(self):
         with pytest.raises(ParamValidationError):
             SoftAssignments(row_probs=np.array([[1.5, -0.5]]), col_probs=np.array([[1.0]]))
+
+    @pytest.mark.parametrize("row_probs, col_probs", [
+        ([[np.nan, 1.0]], [[1.0]]),
+        ([[0.5, 0.5], [np.nan, np.nan]], [[1.0]]),
+        ([[1.0]], [[np.nan]]),
+    ])
+    def test_soft_rejects_nan(self, row_probs, col_probs):
+        with pytest.raises(ParamValidationError, match="do not sum to 1"):
+            SoftAssignments(row_probs=np.array(row_probs), col_probs=np.array(col_probs))
 
     def test_hard_labels_are_one_based(self):
         with pytest.raises(ParamValidationError):
