@@ -18,6 +18,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import coblock as cb
 
 
+def picks(runs, n=300, m=60, restarts=3, g_max=3, d_max=4):
+    """Yield the (g, d) that select picks on each of runs seeded draws
+    from a separated (2, 3) truth; acceptance criterion 7 counts them."""
+    for run in range(runs):
+        truth = cb.separated_params(
+            2, 3, p=1, mean_scale=10.0, intercept_scale=3.0,
+            seed=500 + run, distinct_blocks=True,
+        )
+        sim = cb.generate(cb.SimConfig(n=n, m=m, params=truth, seed=900 + run))
+        cfg = cb.BemConfig(
+            n_restarts=restarts, init_strategy="kmeans_like",
+            seed=13 + run, cov_weight="1",
+        )
+        yield cb.select(sim.x, sim.y, range(1, g_max + 1), range(2, d_max + 1), cfg).best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=20)
@@ -29,19 +45,10 @@ def main():
     args = ap.parse_args()
 
     tally = Counter()
-    for run in range(args.runs):
-        truth = cb.separated_params(
-            2, 3, p=1, mean_scale=10.0, intercept_scale=3.0,
-            seed=500 + run, distinct_blocks=True,
-        )
-        sim = cb.generate(cb.SimConfig(n=args.n, m=args.m, params=truth, seed=900 + run))
-        cfg = cb.BemConfig(
-            n_restarts=args.restarts, init_strategy="kmeans_like",
-            seed=13 + run, cov_weight="1",
-        )
-        grid = cb.select(sim.x, sim.y, range(1, args.g_max + 1), range(2, args.d_max + 1), cfg)
-        tally[grid.best] += 1
-        print(f"run {run:>3}: best (g, d) = {grid.best}")
+    chosen = picks(args.runs, args.n, args.m, args.restarts, args.g_max, args.d_max)
+    for run, best in enumerate(chosen):
+        tally[best] += 1
+        print(f"run {run:>3}: best (g, d) = {best}")
 
     print("\nselected (g, d) counts (truth is (2, 3)):")
     for pair, count in sorted(tally.items()):

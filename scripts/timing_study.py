@@ -10,11 +10,13 @@ Usage:
     python3 scripts/timing_study.py --n-list 2000,6000,10000 --d-list 2,6 --reps 5
 """
 
-import os
+if __name__ == "__main__":
+    import os
 
-# must be set before numpy loads its BLAS
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    # must be set before numpy loads its BLAS; an import of line_fits
+    # leaves the importer's environment as it is
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse  # noqa: E402
 import sys  # noqa: E402
@@ -25,7 +27,22 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from coblock.cli import main as cli_main
+from coblock.cli import main as cli_main  # noqa: E402
+
+
+def line_fits(raw):
+    """Per d of a loaded timing.csv: (slope, R squared) of the mean
+    seconds at each n regressed on n."""
+    fits = {}
+    for d in sorted({int(v) for v in raw["d"]}):
+        sub = raw[raw["d"] == d]
+        ns = np.unique(sub["n"])
+        means = np.array([sub["seconds"][sub["n"] == n].mean() for n in ns])
+        slope, intercept = np.polyfit(ns, means, 1)
+        resid = means - (slope * ns + intercept)
+        r2 = 1.0 - resid @ resid / ((means - means.mean()) @ (means - means.mean()))
+        fits[d] = (slope, r2)
+    return fits
 
 
 def main():
@@ -52,13 +69,7 @@ def main():
 
     raw = np.genfromtxt(Path(out) / "timing.csv", delimiter=",", names=True)
     print(f"\n{'d':>4} {'slope_s_per_row':>16} {'r_squared':>10}")
-    for d in sorted({int(v) for v in raw["d"]}):
-        sub = raw[raw["d"] == d]
-        ns = np.unique(sub["n"])
-        means = np.array([sub["seconds"][sub["n"] == n].mean() for n in ns])
-        slope, intercept = np.polyfit(ns, means, 1)
-        resid = means - (slope * ns + intercept)
-        r2 = 1.0 - resid @ resid / ((means - means.mean()) @ (means - means.mean()))
+    for d, (slope, r2) in line_fits(raw).items():
         print(f"{d:>4} {slope:>16.3e} {r2:>10.4f}")
     print(f"raw timings in {out}/timing.csv")
 

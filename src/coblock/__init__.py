@@ -5,72 +5,41 @@ with a logistic link to the row's covariates, one coefficient vector
 per block. Fitting maximizes a variational free energy by block EM;
 model size is chosen by a BIC-style grid search; columns are ranked by
 their influence on the fitted model.
+
+This namespace holds what a caller of fit, select, influence_report and
+generate needs, and the errors they raise; the building blocks are
+imported from their own modules (coblock.bem, coblock.model, ...).
 """
 
-from .bem import (
-    BemConfig,
-    FitResult,
-    col_e_step,
-    fit,
-    free_energy,
-    m_step_beta,
-    m_step_gaussian,
-    m_step_proportions,
-    map_labels,
-    row_e_step,
-    weighted_logistic_gradient,
-    weighted_logistic_hessian,
-    weighted_logistic_objective,
-)
+from .bem import BemConfig, FitResult, fit
 from .errors import (
     AllRestartsFailed,
     CoblockError,
     DimensionMismatch,
     EmptyCluster,
-    InstanceTooLarge,
     LengthMismatch,
     NonBinaryValue,
     NotPositiveDefinite,
     ParamValidationError,
     ParseError,
 )
-from .influence import (
-    InfluenceReport,
-    influence_report,
-    influence_score,
-    log_posterior_y_colform,
-    log_posterior_y_rowform,
-)
-from .model import (
-    BinaryMatrix,
-    CovariateTable,
-    HardLabels,
-    ModelParams,
-    SoftAssignments,
-    bernoulli_link_logpdf,
-    gaussian_logpdf,
-    logistic,
-)
-from .oracle import exact_loglik, exact_posterior_mode
-from .selection import BicGrid, GridCell, bic, gaussian_param_count, select
-from .simulate import SimConfig, SimOutput, generate, label_error_rate, separated_params
+from .influence import influence_report
+from .model import BinaryMatrix, CovariateTable, HardLabels, ModelParams, SoftAssignments
+from .selection import select
+from .simulate import SimConfig, generate, label_error_rate, separated_params
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllRestartsFailed",
     "BemConfig",
-    "BicGrid",
     "BinaryMatrix",
     "CoblockError",
     "CovariateTable",
     "DimensionMismatch",
     "EmptyCluster",
     "FitResult",
-    "GridCell",
     "HardLabels",
-    "InfluenceReport",
-    "InstanceTooLarge",
     "LengthMismatch",
     "ModelParams",
     "NonBinaryValue",
@@ -78,32 +47,11 @@ __all__ = [
     "ParamValidationError",
     "ParseError",
     "SimConfig",
-    "SimOutput",
     "SoftAssignments",
-    "bernoulli_link_logpdf",
-    "bic",
-    "col_e_step",
-    "exact_loglik",
-    "exact_posterior_mode",
     "fit",
-    "free_energy",
-    "gaussian_logpdf",
-    "gaussian_param_count",
     "generate",
     "influence_report",
-    "influence_score",
     "label_error_rate",
-    "log_posterior_y_colform",
-    "log_posterior_y_rowform",
-    "logistic",
-    "m_step_beta",
-    "m_step_gaussian",
-    "m_step_proportions",
-    "map_labels",
-    "row_e_step",
     "select",
     "separated_params",
-    "weighted_logistic_gradient",
-    "weighted_logistic_hessian",
-    "weighted_logistic_objective",
 ]

@@ -54,6 +54,8 @@ from .model import (
 )
 
 _TRACE_SLACK = 1e-9
+# merges tried per split-merge round, cheapest first
+_SPLIT_MERGE_MOVES = 3
 
 INIT_RANDOM_SOFT = "random_soft"
 INIT_KMEANS_LIKE = "kmeans_like"
@@ -99,8 +101,8 @@ class BemConfig:
     def __post_init__(self):
         if self.max_outer_iters < 1 or self.nr_max_iters < 1 or self.n_restarts < 1:
             raise ValueError("iteration and restart counts must be >= 1")
-        if self.split_merge_rounds < 0:
-            raise ValueError("split_merge_rounds must be >= 0")
+        if self.split_merge_rounds < 0 or self.seed < 0:
+            raise ValueError("split_merge_rounds and seed must be >= 0")
         # written so that NaN fails every test
         if not (self.free_energy_rel_tol >= 0 and self.nr_grad_tol > 0):
             raise ValueError("free_energy_rel_tol must be >= 0 and nr_grad_tol > 0")
@@ -279,11 +281,10 @@ def col_e_step(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams) -> np
     return _softmax_rows(_col_scores(x, y, t, params))
 
 
-def m_step_proportions(t, r):
-    """Closed-form proportion updates: pi_k = t_.k / n, rho_l = r_.l / m."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return t.sum(axis=0) / t.shape[0], r.sum(axis=0) / r.shape[0]
+def _proportions(probs: np.ndarray) -> np.ndarray:
+    """Closed-form proportion update from row- or column-cluster posteriors:
+    pi_k = t_.k / n, rho_l = r_.l / m."""
+    return probs.sum(axis=0) / probs.shape[0]
 
 
 def m_step_gaussian(
@@ -627,7 +628,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
     # a frozen r lets every sub-step share one x @ r (see _col_stats)
     r = np.array(r, dtype=float)
     r.setflags(write=False)
-    pi, rho = m_step_proportions(t, r)
+    pi, rho = _proportions(t), _proportions(r)
     means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
     coefs, _ = m_step_beta(x, y, t, r, np.zeros((g, d, y.p + 1)), cfg)
     params = ModelParams(pi, rho, coefs, means, covs)
@@ -639,7 +640,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
         t = row_e_step(x, y, r, params, cfg.cov_weight)
         trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
 
-        pi = t.sum(axis=0) / x.n
+        pi = _proportions(t)
         means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
         coefs, _ = m_step_beta(x, y, t, r, params.coefs, cfg)
         params = ModelParams(pi, params.col_props, coefs, means, covs)
@@ -649,7 +650,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
         r.setflags(write=False)
         trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
 
-        rho = r.sum(axis=0) / x.m
+        rho = _proportions(r)
         coefs, _ = m_step_beta(x, y, t, r, params.coefs, cfg)
         params = ModelParams(params.row_props, rho, coefs, means, covs)
         trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
@@ -681,20 +682,20 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _merge_split_candidates(
-    x, y, result: FitResult, cfg: BemConfig, rng: np.random.Generator, n_moves: int = 3
+    x, y, result: FitResult, cfg: BemConfig, rng: np.random.Generator
 ):
     """Candidate (t0, r0) inits that merge one column cluster into another
     and split a heterogeneous cluster onto the freed index.
 
     Merge pairs are ranked by the column-score cost of reassigning the
     donor's columns (a cheap reassignment flags a duplicated cluster);
-    for each of the n_moves cheapest pairs the two most heterogeneous
-    clusters are tried as split targets. A candidate that groups the
-    columns as an earlier candidate does, up to cluster names, is dropped
-    once its rng draws are taken (so later draws do not move), and each
-    distinct partition is refit once. A candidate that reproduces
-    result's own partition stays: its refit starts from result's row
-    posteriors and may still gain.
+    for each of the _SPLIT_MERGE_MOVES cheapest pairs the two most
+    heterogeneous clusters are tried as split targets. A candidate that
+    groups the columns as an earlier candidate does, up to cluster names,
+    is dropped once its rng draws are taken (so later draws do not move),
+    and each distinct partition is refit once. A candidate that
+    reproduces result's own partition stays: its refit starts from
+    result's row posteriors and may still gain.
     Heterogeneity and the 2-means splits both use per-column
     score statistics of the target block's logistic fit, whitened by
     their Fisher scale: under a correct homogeneous block the whitened
@@ -746,7 +747,7 @@ def _merge_split_candidates(
         return r.argmax(axis=1)
 
     candidates, labs = [], []
-    for _, b, a in moves[:n_moves]:
+    for _, b, a in moves[:_SPLIT_MERGE_MOVES]:
         merged = w.copy()
         merged[merged == b] = a
         ranked = []

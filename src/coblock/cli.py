@@ -85,13 +85,15 @@ def _add_bem_flags(sub) -> None:
 
 
 def _check_counts(args) -> None:
-    """Reject counts and tolerances no run can use, before any file is read."""
+    """Reject counts, tolerances and seeds no run can use, before any file is read."""
     for flag in ("restarts", "max_iters", "reps"):
         value = getattr(args, flag, 1)
         if value < 1:
             raise ParseError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     if not getattr(args, "tol", 0.0) >= 0:  # NaN fails too
         raise ParseError(f"--tol must be >= 0, got {args.tol}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _bem_config(args) -> BemConfig:
@@ -106,7 +108,10 @@ def _bem_config(args) -> BemConfig:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CoblockError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

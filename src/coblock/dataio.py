@@ -286,13 +286,9 @@ def write_json(path, value) -> None:
 _PARAM_FIELDS = ("row_props", "col_props", "coefs", "means", "covs")
 
 
-def params_to_dict(params: ModelParams) -> dict:
-    """Plain nested-list form of the parameters (covariances row-major)."""
-    return {key: getattr(params, key).tolist() for key in _PARAM_FIELDS}
-
-
 def write_params_json(path, params: ModelParams) -> None:
-    write_json(path, params_to_dict(params))
+    """The parameters as plain nested lists (covariances row-major)."""
+    write_json(path, {key: getattr(params, key).tolist() for key in _PARAM_FIELDS})
 
 
 def read_params_json(path) -> ModelParams:

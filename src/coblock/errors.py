@@ -25,10 +25,6 @@ class AllRestartsFailed(CoblockError):
     """Every restart of the fit collapsed before convergence."""
 
 
-class InstanceTooLarge(CoblockError):
-    """Exhaustive enumeration was requested beyond the size guard."""
-
-
 class ParseError(CoblockError):
     """A dataset file could not be parsed; carries line/column info."""
 

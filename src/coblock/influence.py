@@ -8,9 +8,7 @@ and a sum over columns; the column j term is its influence I(j):
     eta_ij = y_aug_i . beta_{z_i, w_j}.
 
 Ranking columns by decreasing I(j) orders them by their log-contribution
-to the fitted model. The same fixed-label quantity can be grouped by
-rows (through per-cluster column counts) or by columns; both groupings
-are implemented and must agree, which the tests exploit.
+to the fitted model.
 """
 
 from __future__ import annotations
@@ -18,17 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .bem import FitResult
 from .errors import LengthMismatch, ParamValidationError
-from .model import (
-    BinaryMatrix,
-    CovariateTable,
-    HardLabels,
-    ModelParams,
-    gaussian_cluster_logpdfs,
-)
+from .model import BinaryMatrix, CovariateTable
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,9 @@ class InfluenceReport:
         object.__setattr__(self, "ranking", ranking)
 
 
-def _check_labels(x: BinaryMatrix, labels: HardLabels, params: ModelParams) -> None:
+def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> InfluenceReport:
+    """Influence scores and descending ranking using the fit's MAP labels."""
+    labels, params = fit.map_labels, fit.params
     if labels.row_labels.size != x.n or labels.col_labels.size != x.m:
         raise LengthMismatch(
             f"labels sized ({labels.row_labels.size}, {labels.col_labels.size}) "
@@ -65,93 +58,13 @@ def _check_labels(x: BinaryMatrix, labels: HardLabels, params: ModelParams) -> N
         )
     if labels.row_labels.max() > params.g or labels.col_labels.max() > params.d:
         raise ParamValidationError("labels refer to clusters beyond the parameter grid")
-
-
-def _row_cluster_predictors(y: CovariateTable, params: ModelParams, z0: np.ndarray):
-    """eta[i,l] = y_aug_i . beta_{z_i, l} and its softplus, shapes (n, d)."""
-    eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
-    return eta, np.logaddexp(0.0, eta)
-
-
-def _row_part(y: CovariateTable, params: ModelParams, z0: np.ndarray) -> float:
-    """sum_i [ log pi_{z_i} + log phi(y_i; cluster z_i) ], density once per row."""
-    with np.errstate(divide="ignore"):
-        logpi = np.log(params.row_props)
-    rows = np.arange(y.n)
-    return float(logpi[z0].sum() + gaussian_cluster_logpdfs(y, params)[rows, z0].sum())
-
-
-def influence_score(
-    j: int, x: BinaryMatrix, y: CovariateTable, labels: HardLabels, params: ModelParams
-) -> float:
-    """I(j) for the 1-based column index j under fixed labels."""
-    if not 1 <= j <= x.m:
-        raise ParamValidationError(f"column index {j} outside 1..{x.m}")
-    _check_labels(x, labels, params)
-    z0 = labels.row_labels - 1
-    wj = int(labels.col_labels[j - 1] - 1)
-    eta = np.einsum("iq,iq->i", y.augmented, params.coefs[z0, wj])
-    xcol = x.values[:, j - 1]
-    with np.errstate(divide="ignore"):
-        logrho = np.log(params.col_props[wj])
-    return float(logrho + np.sum(xcol * eta - np.logaddexp(0.0, eta)))
-
-
-def _all_scores(
-    x: BinaryMatrix, y: CovariateTable, labels: HardLabels, params: ModelParams
-) -> np.ndarray:
-    _check_labels(x, labels, params)
     z0 = labels.row_labels - 1
     w0 = labels.col_labels - 1
-    eta, sp = _row_cluster_predictors(y, params, z0)
+    # eta[i,l] = y_aug_i . beta_{z_i, l}, shape (n, d)
+    eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
+    sp = np.logaddexp(0.0, eta)
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
-    return logrho[w0] + np.sum(x.values * eta[:, w0] - sp[:, w0], axis=0)
-
-
-def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> InfluenceReport:
-    """Influence scores and descending ranking using the fit's MAP labels."""
-    scores = _all_scores(x, y, fit.map_labels, fit.params)
+    scores = logrho[w0] + np.sum(x.values * eta[:, w0] - sp[:, w0], axis=0)
     ranking = np.lexsort((np.arange(scores.size), -scores)) + 1
     return InfluenceReport(scores=scores, ranking=ranking)
-
-
-def log_posterior_y_rowform(
-    y: CovariateTable, x: BinaryMatrix, labels: HardLabels, params: ModelParams
-) -> float:
-    """Fixed-label joint log-likelihood grouped by rows.
-
-    Uses per-cluster column counts: with m_l the number of columns in
-    column cluster l and m_il the count of ones row i has among them,
-
-        sum_i sum_l [ m_il eta_il - m_l softplus(eta_il) ]
-        + sum_l m_l log rho_l + sum_i [ log pi_{z_i} + log phi(y_i) ].
-
-    The covariate density enters once per row.
-    """
-    _check_labels(x, labels, params)
-    z0 = labels.row_labels - 1
-    w0 = labels.col_labels - 1
-    eta, sp = _row_cluster_predictors(y, params, z0)
-
-    onehot = np.zeros((x.m, params.d))
-    onehot[np.arange(x.m), w0] = 1.0
-    m_l = onehot.sum(axis=0)
-    m_il = x.values @ onehot
-    bern = float(np.sum(m_il * eta) - m_l @ sp.sum(axis=0))
-
-    rho_part = float(xlogy(m_l, params.col_props).sum())
-    return bern + rho_part + _row_part(y, params, z0)
-
-
-def log_posterior_y_colform(
-    y: CovariateTable, x: BinaryMatrix, labels: HardLabels, params: ModelParams
-) -> float:
-    """Fixed-label joint log-likelihood grouped by columns.
-
-    Equals the row form exactly: the row part plus the sum of all
-    influence scores.
-    """
-    _check_labels(x, labels, params)
-    z0 = labels.row_labels - 1
-    return _row_part(y, params, z0) + float(_all_scores(x, y, labels, params).sum())

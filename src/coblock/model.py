@@ -1,4 +1,4 @@
-"""Core domain types and elementary densities.
+"""Core domain types and the Gaussian covariate densities.
 
 The model couples a binary data matrix with a per-row real covariate
 vector: cells follow a Bernoulli distribution whose success probability
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NotPositiveDefinite, ParamValidationError
 
@@ -148,7 +147,7 @@ class ModelParams:
                 raise ParamValidationError(f"{name} has a negative component")
             # written so that NaN fails it too: a NaN sums to NaN
             if not abs(vec.sum() - 1.0) <= _PROB_SUM_TOL:
-                raise ParamValidationError(f"{name} sums to {vec.sum()!r}, expected 1")
+                raise ParamValidationError(f"{name} sums to {float(vec.sum())}, expected 1")
 
         g, d = pi.size, rho.size
         if means.ndim != 2 or means.shape[0] != g:
@@ -239,21 +238,6 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
 
-def logistic(u):
-    """Stable logistic function e^u / (1 + e^u); accepts scalars or arrays."""
-    return expit(u)
-
-
-def bernoulli_link_logpdf(x, y_aug: np.ndarray, coef: np.ndarray) -> float:
-    """Log-probability of a binary cell under the logistic link.
-
-    Computes x * eta - log(1 + exp(eta)) with eta = y_aug . coef, using
-    logaddexp so large |eta| cannot overflow.
-    """
-    eta = float(np.dot(y_aug, coef))
-    return float(x * eta - np.logaddexp(0.0, eta))
-
-
 def _gaussian_logpdfs(rows: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
     """(n, g) log-densities of rows (n, p) under N(means[k], L_k L_k^T), for
     the factors L (g, p, p): one batched u = (rows - mean_k) L_k^-T. The
@@ -262,13 +246,6 @@ def _gaussian_logpdfs(rows: np.ndarray, means: np.ndarray, chols: np.ndarray) ->
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     quad = np.ascontiguousarray(np.sum(u * u, axis=2).T)
     return -0.5 * (means.shape[1] * LOG_2PI + logdet + quad)
-
-
-def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Log-density of a multivariate Gaussian at a single point."""
-    chol = _cholesky(np.asarray(cov, dtype=float)[None])
-    row, mean = (np.reshape(np.asarray(v, dtype=float), (1, -1)) for v in (y, mean))
-    return float(_gaussian_logpdfs(row, mean, chol)[0, 0])
 
 
 def gaussian_cluster_logpdfs(y: CovariateTable, params: ModelParams) -> np.ndarray:

@@ -52,23 +52,15 @@ def gaussian_param_count(g: int, p: int) -> int:
     return g * p + g * p * (p + 1) // 2
 
 
-def bic(fit_result, n: int, m: int, p: int, g: int, d: int, lam: int | None = None) -> float:
-    """-2 F* + (g-1) log n + lam log n + (d-1) log m + g d (p+1) log(nm).
-
-    F* is the fit's final free energy; fit_result may be a FitResult or
-    the value itself. lam defaults to gaussian_param_count(g, p).
+def bic(free_energy: float, n: int, m: int, p: int, g: int, d: int) -> float:
+    """-2 F* + (g-1) log n + lam log n + (d-1) log m + g d (p+1) log(nm),
+    with F* the fit's final free energy and lam = gaussian_param_count(g, p).
     Smaller is better.
     """
-    if isinstance(fit_result, FitResult):
-        f_star = fit_result.final_free_energy
-    else:
-        f_star = float(fit_result)
-    if lam is None:
-        lam = gaussian_param_count(g, p)
     return (
-        -2.0 * f_star
+        -2.0 * free_energy
         + (g - 1) * math.log(n)
-        + lam * math.log(n)
+        + gaussian_param_count(g, p) * math.log(n)
         + (d - 1) * math.log(m)
         + g * d * (p + 1) * math.log(n * m)
     )
@@ -116,9 +108,9 @@ def select(
         except AllRestartsFailed as exc:
             failures[(g, d)] = str(exc)
             continue
-        value = bic(result, x.n, x.m, y.p, g, d)
+        f_star = result.final_free_energy
         entries[(g, d)] = GridCell(
-            g=g, d=d, free_energy=result.final_free_energy, bic=value, fit=result
+            g=g, d=d, free_energy=f_star, bic=bic(f_star, x.n, x.m, y.p, g, d), fit=result
         )
     if not entries:
         raise AllRestartsFailed("every grid cell failed")

@@ -32,6 +32,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ParamValidationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        if self.seed < 0:
+            raise ParamValidationError(f"need seed >= 0, got seed={self.seed}")
 
 
 @dataclass(frozen=True)

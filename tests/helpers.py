@@ -18,6 +18,17 @@ rules rather than its arithmetic.
 read_x_reference reads an x.csv one token at a time with float(),
 under the loader's error rules: the reference coblock.dataio's byte
 decoder and numpy parse are checked against.
+
+Second implementations that production is compared against, kept here
+because the package does not call them:
+  - bernoulli_link_logpdf, the log-probability of one cell;
+  - influence_score, the influence I(j) of one column, the reference
+    for coblock.influence.influence_report's vectorized scores;
+  - log_posterior_y_rowform and its row_part, the fixed-label joint
+    log-likelihood grouped by rows, which must equal row_part plus the
+    sum of all influence scores.
+The exhaustive-enumeration oracles (exact log-likelihood and posterior
+mode) live in oracle.py.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import itertools
 
 import mpmath as mp
 import numpy as np
+from scipy.special import xlogy
 
 from coblock.bem import (
     BemConfig,
@@ -34,7 +46,13 @@ from coblock.bem import (
     weighted_logistic_objective,
 )
 from coblock.errors import NonBinaryValue, ParseError
-from coblock.model import BinaryMatrix, CovariateTable, ModelParams
+from coblock.model import (
+    BinaryMatrix,
+    CovariateTable,
+    HardLabels,
+    ModelParams,
+    gaussian_cluster_logpdfs,
+)
 
 mp.mp.dps = 50
 
@@ -136,6 +154,64 @@ def mp_exact_loglik(x: BinaryMatrix, y: CovariateTable, params: ModelParams,
                     acc += mp_cell_loglik(x.values[i, j], eta[i][z[i]][w[j]])
             total += mp.exp(acc)
     return float(mp.log(total))
+
+
+def bernoulli_link_logpdf(x, y_aug: np.ndarray, coef: np.ndarray) -> float:
+    """Log-probability of a binary cell under the logistic link.
+
+    Computes x * eta - log(1 + exp(eta)) with eta = y_aug . coef, using
+    logaddexp so large |eta| cannot overflow.
+    """
+    eta = float(np.dot(y_aug, coef))
+    return float(x * eta - np.logaddexp(0.0, eta))
+
+
+def influence_score(
+    j: int, x: BinaryMatrix, y: CovariateTable, labels: HardLabels, params: ModelParams
+) -> float:
+    """I(j) for the 1-based column index j under fixed labels."""
+    z0 = labels.row_labels - 1
+    wj = int(labels.col_labels[j - 1] - 1)
+    eta = np.einsum("iq,iq->i", y.augmented, params.coefs[z0, wj])
+    xcol = x.values[:, j - 1]
+    with np.errstate(divide="ignore"):
+        logrho = np.log(params.col_props[wj])
+    return float(logrho + np.sum(xcol * eta - np.logaddexp(0.0, eta)))
+
+
+def row_part(y: CovariateTable, params: ModelParams, z0: np.ndarray) -> float:
+    """sum_i [ log pi_{z_i} + log phi(y_i; cluster z_i) ], density once per row."""
+    with np.errstate(divide="ignore"):
+        logpi = np.log(params.row_props)
+    rows = np.arange(y.n)
+    return float(logpi[z0].sum() + gaussian_cluster_logpdfs(y, params)[rows, z0].sum())
+
+
+def log_posterior_y_rowform(
+    y: CovariateTable, x: BinaryMatrix, labels: HardLabels, params: ModelParams
+) -> float:
+    """Fixed-label joint log-likelihood grouped by rows.
+
+    Uses per-cluster column counts: with m_l the number of columns in
+    column cluster l and m_il the count of ones row i has among them,
+
+        sum_i sum_l [ m_il eta_il - m_l softplus(eta_il) ]
+        + sum_l m_l log rho_l + sum_i [ log pi_{z_i} + log phi(y_i) ].
+
+    The covariate density enters once per row.
+    """
+    z0 = labels.row_labels - 1
+    w0 = labels.col_labels - 1
+    eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
+
+    onehot = np.zeros((x.m, params.d))
+    onehot[np.arange(x.m), w0] = 1.0
+    m_l = onehot.sum(axis=0)
+    m_il = x.values @ onehot
+    bern = float(np.sum(m_il * eta) - m_l @ np.logaddexp(0.0, eta).sum(axis=0))
+
+    rho_part = float(xlogy(m_l, params.col_props).sum())
+    return bern + rho_part + row_part(y, params, z0)
 
 
 def rand_params(rng: np.random.Generator, g: int, d: int, p: int,

@@ -3,7 +3,8 @@
 Only feasible on tiny instances, where they pin down what the
 variational machinery is approximating: the exact log-likelihood (which
 the free energy must bound from below) and the exact joint posterior
-mode over (z, w).
+mode over (z, w). The tests use them as references; the package never
+calls them.
 
 For a fixed row labeling z the sum over column labelings factorizes
 across columns, so enumeration costs g^n * (m * d * n) instead of
@@ -17,8 +18,8 @@ import itertools
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import InstanceTooLarge, LengthMismatch
-from .model import (
+from coblock.errors import CoblockError, LengthMismatch
+from coblock.model import (
     BinaryMatrix,
     CovariateTable,
     HardLabels,
@@ -28,6 +29,10 @@ from .model import (
 )
 
 _MAX_LABELINGS = 10_000_000
+
+
+class InstanceTooLarge(CoblockError):
+    """Exhaustive enumeration was requested beyond the size guard."""
 
 
 def _check_size(n: int, m: int, g: int, d: int) -> None:

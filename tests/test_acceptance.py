@@ -3,10 +3,10 @@
 Each test prints one [acceptance] PASS/FAIL line outside the capture so
 the verdicts are visible in the terminal regardless of pytest flags.
 The heavy recovery batches are shared between the row-recovery and
-trend tests through a module-scoped fixture.
+trend tests through a module-scoped fixture. Criteria 4 to 7 run the
+studies of scripts/ through the same functions as the scripts do.
 """
 
-import os
 import subprocess
 import sys
 
@@ -14,9 +14,19 @@ import numpy as np
 import pytest
 
 import coblock as cb
+from coblock.bem import (
+    free_energy,
+    weighted_logistic_gradient,
+    weighted_logistic_hessian,
+    weighted_logistic_objective,
+)
 from coblock.cli import main
 
+import timing_study
+from error_rate_study import run_point
 from helpers import rand_instance, rand_params, rand_soft
+from oracle import exact_loglik
+from selection_study import picks
 
 
 @pytest.fixture
@@ -40,14 +50,14 @@ def test_criterion_1_lower_bound(report):
         params = rand_params(rng, 2, 2, 1)
         x, y = rand_instance(rng, n, m, 1)
         for weight in ("m", "1"):
-            exact = cb.exact_loglik(x, y, params, cov_weight=weight)
+            exact = exact_loglik(x, y, params, cov_weight=weight)
             t = rand_soft(rng, n, 2)
             r = rand_soft(rng, m, 2)
-            fe = cb.free_energy(x, y, t, r, params, cov_weight=weight)
+            fe = free_energy(x, y, t, r, params, cov_weight=weight)
             worst = max(worst, fe - exact)
         cfg = cb.BemConfig(n_restarts=2, seed=int(rng.integers(2**31)))
         res = cb.fit(x, y, 2, 2, cfg)
-        exact_hat = cb.exact_loglik(x, y, res.params, cov_weight="m")
+        exact_hat = exact_loglik(x, y, res.params, cov_weight="m")
         worst = max(worst, res.final_free_energy - exact_hat)
     report("criterion 1 (variational lower bound)", worst <= 1e-9,
            f"100 instances, worst slack {worst:.3e}")
@@ -82,16 +92,16 @@ def test_criterion_3_newton_raphson_derivatives(report):
         counts = rng.random(n) * mass * weights
         args = (y.augmented, weights, counts, mass)
 
-        grad = cb.weighted_logistic_gradient(beta, *args)
-        hess = cb.weighted_logistic_hessian(beta, *args)
+        grad = weighted_logistic_gradient(beta, *args)
+        hess = weighted_logistic_hessian(beta, *args)
         for a in range(p + 1):
             e = np.zeros(p + 1)
             e[a] = h
-            fd = (cb.weighted_logistic_objective(beta + e, *args)
-                  - cb.weighted_logistic_objective(beta - e, *args)) / (2 * h)
+            fd = (weighted_logistic_objective(beta + e, *args)
+                  - weighted_logistic_objective(beta - e, *args)) / (2 * h)
             worst_g = max(worst_g, abs(fd - grad[a]) / max(1.0, abs(fd)))
-            fd_row = (cb.weighted_logistic_gradient(beta + e, *args)
-                      - cb.weighted_logistic_gradient(beta - e, *args)) / (2 * h)
+            fd_row = (weighted_logistic_gradient(beta + e, *args)
+                      - weighted_logistic_gradient(beta - e, *args)) / (2 * h)
             rel = np.abs(fd_row - hess[a]) / np.maximum(1.0, np.abs(fd_row))
             worst_h = max(worst_h, float(rel.max()))
     ok = worst_g <= 1e-5 and worst_h <= 1e-4
@@ -101,29 +111,11 @@ def test_criterion_3_newton_raphson_derivatives(report):
 
 @pytest.fixture(scope="module")
 def recovery_batches():
-    """Mean row and column error over 20 replications per design point.
-
-    Separated truth: row means +/-5 with unit variances, block
-    intercepts +/-3, unit-scale slopes so that column clusters sharing
-    an intercept sign pattern stay identifiable.
-    """
-    out = {}
-    for d, n in [(6, 400), (6, 800), (12, 400)]:
-        row_errs, col_errs = [], []
-        for rep in range(20):
-            truth = cb.separated_params(
-                2, d, p=1, mean_scale=10.0, intercept_scale=3.0,
-                slope_scale=1.0, seed=1000 + rep,
-            )
-            sim = cb.generate(cb.SimConfig(n=n, m=60, params=truth, seed=77 + rep))
-            cfg = cb.BemConfig(n_restarts=10, init_strategy="kmeans_like", seed=11 + rep)
-            res = cb.fit(sim.x, sim.y, 2, d, cfg)
-            row_errs.append(cb.label_error_rate(
-                res.map_labels.row_labels, sim.truth.row_labels))
-            col_errs.append(cb.label_error_rate(
-                res.map_labels.col_labels, sim.truth.col_labels))
-        out[(d, n)] = (float(np.mean(row_errs)), float(np.mean(col_errs)))
-    return out
+    """Mean row and column error over 20 replications per design point."""
+    return {
+        (d, n): run_point(d, n, m=60, reps=20, restarts=10)
+        for d, n in [(6, 400), (6, 800), (12, 400)]
+    }
 
 
 def test_criterion_4_row_recovery(recovery_batches, report):
@@ -145,39 +137,29 @@ def test_criterion_5_error_trends(recovery_batches, report):
 def test_criterion_6_runtime_scaling(tmp_path, report):
     """Mean fit time grows linearly in n, faster for more column clusters.
 
-    The work per fit is pinned (every restart runs the iteration cap,
-    checked through timing.csv's sweeps column; fixed restarts) so only
-    the per-iteration cost varies with n; means over 5 fresh datasets per
-    point absorb the dataset-to-dataset variance. BLAS runs on one
-    thread: a multi-threaded BLAS makes the per-sweep cost depend on how
-    the machine schedules its threads, which is not linear in n.
+    scripts/timing_study.py at its defaults pins the work per fit (every
+    restart runs the iteration cap, checked through timing.csv's sweeps
+    column; fixed restarts) so only the per-iteration cost varies with
+    n; means over 5 fresh datasets per point absorb the dataset-to-dataset
+    variance. It runs in its own process because it pins BLAS to one
+    thread before numpy loads: a multi-threaded BLAS makes the per-sweep
+    cost depend on how the machine schedules its threads, which is not
+    linear in n.
     """
-    cmd = [
-        sys.executable, "-m", "coblock", "benchmark", "--out", str(tmp_path),
-        "--n-list", "2000,6000,10000", "--m", "100", "--g", "2",
-        "--d-list", "2,6", "--reps", "5", "--restarts", "5",
-        "--max-iters", "10", "--seed", "0",
-    ]
-    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {**os.environ, **{var: "1" for var in blas}}
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, timing_study.__file__, "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
     assert proc.returncode == 0, proc.stderr
     raw = np.genfromtxt(tmp_path / "timing.csv", delimiter=",", names=True)
     pinned = bool(np.all(raw["sweeps"] == 10))
-    slopes, r2s = {}, {}
-    for d in (2, 6):
-        sub = raw[raw["d"] == d]
-        ns = np.unique(sub["n"])
-        means = np.array([sub["seconds"][sub["n"] == n].mean() for n in ns])
-        slope, intercept = np.polyfit(ns, means, 1)
-        resid = means - (slope * ns + intercept)
-        r2 = 1.0 - resid @ resid / ((means - means.mean()) @ (means - means.mean()))
-        slopes[d], r2s[d] = slope, r2
-    ok = pinned and r2s[2] >= 0.9 and r2s[6] >= 0.9 and slopes[6] > slopes[2]
+    fits = timing_study.line_fits(raw)
+    (slope2, r2_2), (slope6, r2_6) = fits[2], fits[6]
+    ok = pinned and r2_2 >= 0.9 and r2_6 >= 0.9 and slope6 > slope2
     report("criterion 6 (runtime scaling)", ok,
            f"sweeps {int(raw['sweeps'].min())}-{int(raw['sweeps'].max())} of 10; "
-           f"R2 d=2 {r2s[2]:.4f}, d=6 {r2s[6]:.4f}; "
-           f"slope d=6 {slopes[6]:.2e} > d=2 {slopes[2]:.2e}")
+           f"R2 d=2 {r2_2:.4f}, d=6 {r2_6:.4f}; "
+           f"slope d=6 {slope6:.2e} > d=2 {slope2:.2e}")
 
 
 def test_criterion_7_model_selection(report):
@@ -186,18 +168,7 @@ def test_criterion_7_model_selection(report):
     Selection runs with the covariate density counted once per row so
     the Gaussian term cannot swamp the penalty on the binary part.
     """
-    hits = 0
-    for run in range(20):
-        truth = cb.separated_params(
-            2, 3, p=1, mean_scale=10.0, intercept_scale=3.0,
-            seed=500 + run, distinct_blocks=True,
-        )
-        sim = cb.generate(cb.SimConfig(n=300, m=60, params=truth, seed=900 + run))
-        cfg = cb.BemConfig(
-            n_restarts=3, init_strategy="kmeans_like", seed=13 + run, cov_weight="1",
-        )
-        grid = cb.select(sim.x, sim.y, range(1, 4), range(2, 5), cfg)
-        hits += grid.best == (2, 3)
+    hits = sum(best == (2, 3) for best in picks(20))
     report("criterion 7 (model selection)", hits >= 16,
            f"picked (2,3) in {hits}/20 runs")
 

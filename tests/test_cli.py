@@ -141,6 +141,20 @@ class TestErrors:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_dir_that_cannot_be_made(self, dataset, tmp_path, capsys, under_file):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if under_file else taken
+        rc = main([
+            "fit", "--x", str(dataset["x"]), "--y", str(dataset["y"]),
+            "--g", "1", "--d", "1", "--restarts", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+
     def test_non_binary_cell(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,2\n1,0\n")
         (tmp_path / "y.csv").write_text("1\n2\n")
@@ -185,7 +199,11 @@ class TestErrors:
                 ("--restarts", "0"), ("--max-iters", "0"), ("--tol", "-1"), ("--tol", "nan")
             )
         ]
-        + [("benchmark", flag, "0") for flag in ("--restarts", "--max-iters", "--reps")],
+        + [("benchmark", flag, "0") for flag in ("--restarts", "--max-iters", "--reps")]
+        + [
+            (command, "--seed", "-1")
+            for command in ("simulate", "fit", "select", "influence", "benchmark")
+        ],
     )
     def test_unusable_counts_fail_before_any_file(self, tmp_path, capsys, command, flag, value):
         # the input files do not exist: the flag must be named first
@@ -194,8 +212,9 @@ class TestErrors:
             "select": ["--g-range", "1:1", "--d-range", "1:1"],
             "influence": ["--g", "1", "--d", "1"],
             "benchmark": ["--n-list", "10"],
+            "simulate": ["--params", str(tmp_path / "nope.json"), "--n", "5", "--m", "5"],
         }[command]
-        if command != "benchmark":
+        if command not in ("benchmark", "simulate"):
             argv += ["--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope2.csv")]
         out = tmp_path / "out"
         rc = main([command, *argv, "--out", str(out), flag, value])

@@ -3,24 +3,25 @@
 import numpy as np
 import pytest
 
-import coblock as cb
-from coblock.bem import BemConfig, FitResult, free_energy
-from coblock.influence import (
-    influence_report,
-    influence_score,
-    log_posterior_y_colform,
-    log_posterior_y_rowform,
-)
+from coblock.bem import FitResult
+from coblock.influence import influence_report
 from coblock.model import (
     BinaryMatrix,
     CovariateTable,
     HardLabels,
     ModelParams,
     SoftAssignments,
-    bernoulli_link_logpdf,
-    gaussian_logpdf,
 )
-from helpers import hard_soft, rand_instance, rand_params
+from helpers import (
+    bernoulli_link_logpdf,
+    hard_soft,
+    influence_score,
+    log_posterior_y_rowform,
+    mp_gauss_logpdf,
+    rand_instance,
+    rand_params,
+    row_part,
+)
 
 LOG2 = np.log(2.0)
 
@@ -141,7 +142,7 @@ class TestPosteriorOfY:
         for i in range(2):
             k = labels.row_labels[i] - 1
             want += np.log(params.row_props[k])
-            want += gaussian_logpdf(y.values[i], params.means[k], params.covs[k])
+            want += float(mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k]))
         for j in range(2):
             want += np.log(params.col_props[labels.col_labels[j] - 1])
         got = log_posterior_y_rowform(y, x, labels, params)
@@ -157,7 +158,7 @@ class TestPosteriorOfY:
         for i in range(5):
             k = labels.row_labels[i] - 1
             mix_and_gauss += np.log(params.row_props[k])
-            mix_and_gauss += gaussian_logpdf(y.values[i], params.means[k], params.covs[k])
+            mix_and_gauss += float(mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k]))
         for j in range(4):
             mix_and_gauss += np.log(params.col_props[labels.col_labels[j] - 1])
         assert got - mix_and_gauss == pytest.approx(-5 * 4 * LOG2, abs=1e-12)
@@ -169,7 +170,9 @@ class TestPosteriorOfY:
         params = rand_params(rng, 2, 3, 2)
         labels = rand_labels(rng, 6, 5, 2, 3)
         a = log_posterior_y_rowform(y, x, labels, params)
-        b = log_posterior_y_colform(y, x, labels, params)
+        # grouped by columns: the row part plus every column's influence
+        res = manual_fit_result(params, labels.row_labels, labels.col_labels)
+        b = row_part(y, params, labels.row_labels - 1) + influence_report(x, y, res).scores.sum()
         assert a == pytest.approx(b, abs=1e-9)
 
 

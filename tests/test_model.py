@@ -1,9 +1,10 @@
-"""Core types and the two elementary densities."""
+"""Core types, the logistic link and the Gaussian densities."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit as logistic
 
 from coblock.errors import NotPositiveDefinite, ParamValidationError
 from coblock.model import (
@@ -12,12 +13,9 @@ from coblock.model import (
     HardLabels,
     ModelParams,
     SoftAssignments,
-    bernoulli_link_logpdf,
     gaussian_cluster_logpdfs,
-    gaussian_logpdf,
-    logistic,
 )
-from helpers import mp_gauss_logpdf, rand_params
+from helpers import bernoulli_link_logpdf, mp_gauss_logpdf, rand_params
 
 LOG_HALF = -0.6931471805599453
 
@@ -25,7 +23,19 @@ finite_pred = st.floats(min_value=-700.0, max_value=700.0,
                         allow_nan=False, allow_infinity=False)
 
 
+def gaussian_logpdf(y, mean, cov) -> float:
+    """gaussian_cluster_logpdfs of one point under one cluster."""
+    mean = np.asarray(mean, dtype=float)
+    params = ModelParams(
+        np.ones(1), np.ones(1), np.zeros((1, 1, mean.size + 1)), mean[None], np.asarray(cov)[None]
+    )
+    return float(gaussian_cluster_logpdfs(CovariateTable(np.reshape(y, (1, -1))), params)[0, 0])
+
+
 class TestLogistic:
+    """scipy's expit, the logistic link of bem and simulate, has the
+    properties they rely on."""
+
     def test_zero(self):
         assert logistic(0.0) == 0.5
 
@@ -210,6 +220,14 @@ class TestModelParams:
         bad[field] = np.array(value)
         with pytest.raises(ParamValidationError, match=f"{field} sums to"):
             ModelParams(**bad)
+
+    @pytest.mark.parametrize("value, shown", [([0.6, 0.6], "1.2"), ([np.nan, 0.5], "nan")])
+    def test_sum_message_shows_a_plain_float(self, value, shown):
+        bad = self._valid()
+        bad["row_props"] = np.array(value)
+        with pytest.raises(ParamValidationError) as info:
+            ModelParams(**bad)
+        assert str(info.value) == f"row_props sums to {shown}, expected 1"
 
     def test_cov_must_be_symmetric(self):
         bad = self._valid()

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from coblock.errors import InstanceTooLarge
-from coblock.model import BinaryMatrix, CovariateTable, ModelParams, bernoulli_link_logpdf, gaussian_logpdf
-from coblock.oracle import exact_loglik, exact_posterior_mode
-from helpers import mp_exact_loglik, rand_instance, rand_params, rand_soft
 from coblock.bem import free_energy
+from coblock.model import BinaryMatrix, CovariateTable, ModelParams
+from helpers import (
+    bernoulli_link_logpdf,
+    mp_exact_loglik,
+    mp_gauss_logpdf,
+    rand_instance,
+    rand_params,
+    rand_soft,
+)
+from oracle import InstanceTooLarge, exact_loglik, exact_posterior_mode
 
 
 def swap_symmetric_params():
@@ -34,7 +40,8 @@ class TestExactLoglik:
             for i in range(4) for j in range(3)
         )
         gauss = sum(
-            gaussian_logpdf(y.values[i], params.means[0], params.covs[0]) for i in range(4)
+            float(mp_gauss_logpdf(y.values[i], params.means[0], params.covs[0]))
+            for i in range(4)
         )
         scale = x.m if weight == "m" else 1.0
         want = bern + scale * gauss
@@ -61,7 +68,9 @@ class TestExactLoglik:
             acc = 0.0
             for i in range(2):
                 acc += np.log(params.row_props[z[i]])
-                acc += 2 * gaussian_logpdf(y.values[i], params.means[z[i]], params.covs[z[i]])
+                acc += 2 * float(
+                    mp_gauss_logpdf(y.values[i], params.means[z[i]], params.covs[z[i]])
+                )
             for j in range(2):
                 acc += np.log(params.col_props[w[j]])
             for i in range(2):

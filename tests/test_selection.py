@@ -35,10 +35,11 @@ class TestBic:
         got = bic(0.0, n=20, m=10, p=0, g=1, d=1)
         assert got == pytest.approx(math.log(200), abs=1e-12)
 
-    def test_lambda_override(self):
-        base = bic(-5.0, n=30, m=20, p=1, g=2, d=2, lam=0)
-        assert bic(-5.0, n=30, m=20, p=1, g=2, d=2, lam=3) == pytest.approx(
-            base + 3 * math.log(30), abs=1e-12
+    def test_gaussian_penalty(self):
+        # each free parameter of the covariate model costs log n
+        rest = 10.0 + math.log(30) + math.log(20) + 8 * math.log(600)
+        assert bic(-5.0, n=30, m=20, p=1, g=2, d=2) == pytest.approx(
+            rest + gaussian_param_count(2, 1) * math.log(30), abs=1e-12
         )
 
     def test_monotone_in_dimensions(self):
@@ -48,14 +49,6 @@ class TestBic:
         assert bic(-10.0, n=100, m=50, p=2, g=2, d=2) > ref
         assert bic(-10.0, n=100, m=50, p=1, g=3, d=2) > ref
         assert bic(-10.0, n=100, m=50, p=1, g=2, d=3) > ref
-
-    def test_accepts_fit_result(self):
-        truth = cb.separated_params(1, 1, p=1, seed=0)
-        sim = cb.generate(cb.SimConfig(n=20, m=8, params=truth, seed=1))
-        res = cb.fit(sim.x, sim.y, 1, 1, BemConfig(n_restarts=1, seed=2))
-        via_result = bic(res, n=20, m=8, p=1, g=1, d=1)
-        via_value = bic(res.final_free_energy, n=20, m=8, p=1, g=1, d=1)
-        assert via_result == via_value
 
 
 class TestPickBest:
@@ -109,6 +102,13 @@ class TestSelect:
         grid = select(sim.x, sim.y, [1, 2], [1, 2], BemConfig(n_restarts=2, seed=5))
         assert grid.best == pick_best(grid.entries.values())
         assert grid.best_cell() is grid.entries[grid.best]
+
+    def test_cells_score_the_final_free_energy(self):
+        sim = self.one_block_data()
+        grid = select(sim.x, sim.y, [1, 2], [1], BemConfig(n_restarts=1, seed=2))
+        for (g, d), c in grid.entries.items():
+            assert c.free_energy == c.fit.final_free_energy
+            assert c.bic == bic(c.fit.final_free_energy, n=60, m=16, p=1, g=g, d=d)
 
     def test_deterministic(self):
         sim = self.one_block_data()

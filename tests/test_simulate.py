@@ -80,6 +80,11 @@ class TestGenerate:
         with pytest.raises(ParamValidationError):
             SimConfig(n=0, m=5, params=truth, seed=0)
 
+    def test_rejects_negative_seed(self):
+        truth = separated_params(1, 1, p=1, seed=0)
+        with pytest.raises(ParamValidationError, match="seed >= 0"):
+            SimConfig(n=5, m=5, params=truth, seed=-1)
+
 
 class TestSeparatedParams:
     def test_deterministic_and_valid(self):
