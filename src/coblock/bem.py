@@ -20,17 +20,17 @@ coefficients to infinity. The objective, gradient and Hessian kernels
 take a leading block axis; the public weighted_logistic_* run them on one.
 
 The linear predictors eta, their softplus and the Gaussian
-log-densities depend only on the covariates and the parameters, so they
-are computed once per parameter set and shared by the E-steps and the
-free-energy evaluations of a sweep. Likewise x @ r and the column
-masses change only with the column posterior r, so they are formed once
-per column posterior and shared by the row E-step, the logistic
-M-steps and the free-energy evaluations that read it.
+log-densities depend only on the covariates and the parameters, so a
+sweep builds one ParamTerms value per parameter set and hands it to the
+E-steps and the free-energy evaluations that read it. Likewise x @ r
+and the column masses change only with the column posterior r, so the
+sweep builds one ColStats value per column posterior and hands it to
+the row E-step, the logistic M-steps and the free-energy evaluations.
+Both are immutable and local to one fit.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,47 +177,42 @@ def _block_predictors(y_aug: np.ndarray, coefs: np.ndarray):
     return eta, _softplus(eta)
 
 
-_memo = threading.local()
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _param_terms(y: CovariateTable, params: ModelParams):
-    """eta (n,g,d), softplus(eta) and the (n,g) Gaussian log-densities.
+@dataclass(frozen=True)
+class ParamTerms:
+    """A parameter set with its linear predictors eta (n,g,d), their
+    softplus and the (n,g) Gaussian log-densities of the covariates."""
 
-    They depend only on the (covariates, parameters) pair, which every
-    sub-step of a sweep reads several times, so each thread keeps the
-    last pair's terms in a one-slot memo keyed on object identity (both
-    types are immutable). The slot holds the pair itself, so neither id
-    can be reused while it is cached; fit empties it before returning.
-    """
-    last = getattr(_memo, "last", None)
-    if last is not None and last[0] is y and last[1] is params:
-        return last[2]
-    eta, sp = _block_predictors(y.augmented, params.coefs)
-    terms = (eta, sp, gaussian_cluster_logpdfs(y, params))
-    _memo.last = (y, params, terms)
-    return terms
+    params: ModelParams
+    eta: np.ndarray
+    softplus: np.ndarray
+    logphi: np.ndarray
+
+    @classmethod
+    def of(cls, y: CovariateTable, params: ModelParams) -> ParamTerms:
+        eta, sp = _block_predictors(y.augmented, params.coefs)
+        return cls(params, *_read_only(eta, sp, gaussian_cluster_logpdfs(y, params)))
 
 
-def _col_stats(x: BinaryMatrix, r: np.ndarray):
-    """x r (n,d) and the column-cluster masses r_.l (d,).
+@dataclass(frozen=True)
+class ColStats:
+    """A column posterior r (m,d), frozen in a copy of its own, with
+    x r (n,d) and the column-cluster masses r_.l (d,)."""
 
-    The row E-step, both logistic M-steps and all four free-energy
-    evaluations of a sweep read them, but only the column E-step changes
-    r, so they sit in a second slot of the same memo, keyed on the
-    identities of x and r. Only an r that is read-only and owns its
-    data is cached (_single_fit freezes every r it makes); a writable
-    r, or a read-only view of memory that may still change, is
-    recomputed on every call.
-    """
-    last = getattr(_memo, "cols", None)
-    if last is not None and last[0] is x and last[1] is r:
-        return last[2]
-    stats = (x.values @ r, r.sum(axis=0))
-    if not r.flags.writeable and r.base is None:
-        for a in stats:
-            a.setflags(write=False)
-        _memo.cols = (x, r, stats)
-    return stats
+    x: BinaryMatrix
+    r: np.ndarray
+    xr: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def of(cls, x: BinaryMatrix, r) -> ColStats:
+        r = np.array(r, dtype=float)
+        return cls(x, *_read_only(r, x.values @ r, r.sum(axis=0)))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -235,10 +230,8 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def row_e_step(
-    x: BinaryMatrix, y: CovariateTable, r, params: ModelParams, cov_weight: str = "m"
-) -> np.ndarray:
-    """Posterior over row clusters given column posteriors r and params.
+def row_e_step(cols: ColStats, terms: ParamTerms, cov_weight: str = "m") -> np.ndarray:
+    """Posterior over row clusters given the column posterior and params.
 
     log t_ik, up to the per-row normalizer, is
         log pi_k + W log phi(y_i; mu_k, Sigma_k)
@@ -246,14 +239,11 @@ def row_e_step(
     with W the covariate weight (m by default). Normalization is done by
     log-sum-exp so nothing underflows.
     """
-    r = np.asarray(r, dtype=float)
-    eta, sp, logphi = _param_terms(y, params)
-    xr, rmass = _col_stats(x, r)
-    bern = np.einsum("il,ikl->ik", xr, eta) - sp @ rmass
-    w = covariate_density_weight(cov_weight, x.m)
+    bern = np.einsum("il,ikl->ik", cols.xr, terms.eta) - terms.softplus @ cols.mass
+    w = covariate_density_weight(cov_weight, cols.x.m)
     with np.errstate(divide="ignore"):
-        logpi = np.log(params.row_props)
-    return _softmax_rows(logpi[None, :] + w * logphi + bern)
+        logpi = np.log(terms.params.row_props)
+    return _softmax_rows(logpi[None, :] + w * terms.logphi + bern)
 
 
 def _col_logits(xv: np.ndarray, t, eta, sp, logrho) -> np.ndarray:
@@ -264,21 +254,21 @@ def _col_logits(xv: np.ndarray, t, eta, sp, logrho) -> np.ndarray:
     return logrho + xv.T @ lin - base[None, :]
 
 
-def _col_scores(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams) -> np.ndarray:
+def _col_scores(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
     """Unnormalized column log-posteriors, one row per column of x."""
-    eta, sp, _ = _param_terms(y, params)
     with np.errstate(divide="ignore"):
-        logrho = np.log(params.col_props)
-    return _col_logits(x.values, np.asarray(t, dtype=float), eta, sp, logrho[None, :])
+        logrho = np.log(terms.params.col_props)
+    t = np.asarray(t, dtype=float)
+    return _col_logits(x.values, t, terms.eta, terms.softplus, logrho[None, :])
 
 
-def col_e_step(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams) -> np.ndarray:
+def col_e_step(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
     """Posterior over column clusters given row posteriors t and params.
 
     The covariate density cancels in the column posterior (it does not
     involve w), so only the Bernoulli terms and log rho_l appear.
     """
-    return _softmax_rows(_col_scores(x, y, t, params))
+    return _softmax_rows(_col_scores(x, t, terms))
 
 
 def _proportions(probs: np.ndarray) -> np.ndarray:
@@ -485,7 +475,7 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
     return beta, peak >= bound - 1e-6
 
 
-def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemConfig):
+def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init, cfg: BemConfig):
     """Per-block logistic coefficient updates, warm-started from beta_init.
 
     Blocks are independent: block (k,l) maximizes
@@ -500,44 +490,37 @@ def m_step_beta(x: BinaryMatrix, y: CovariateTable, t, r, beta_init, cfg: BemCon
     array marking blocks where the separation guard was binding.
     """
     t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
     beta_init = np.asarray(beta_init, dtype=float)
     g, d, q = beta_init.shape
-    xr, rmass = _col_stats(x, r)
     coefs, clamped = _newton_stack(
         y.augmented,
         np.repeat(t.T, d, axis=0),
-        np.tile(xr.T, (g, 1)),
-        np.tile(rmass, g),
+        np.tile(cols.xr.T, (g, 1)),
+        np.tile(cols.mass, g),
         beta_init.reshape(g * d, q),
         cfg,
     )
     return coefs.reshape(g, d, q), clamped.reshape(g, d)
 
 
-def free_energy(
-    x: BinaryMatrix, y: CovariateTable, t, r, params: ModelParams, cov_weight: str = "m"
-) -> float:
-    """Variational lower bound on the log-likelihood at (t, r, params).
+def free_energy(t, cols: ColStats, terms: ParamTerms, cov_weight: str = "m") -> float:
+    """Variational lower bound on the log-likelihood at (t, cols.r, terms.params).
 
     Sum of the expected complete-data log-likelihood under the
     factorized posterior (mixing proportions, Bernoulli cells, covariate
     density with weight W) and the entropies of t and r; 0 log 0 is 0.
     """
     t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    eta, sp, logphi = _param_terms(y, params)
-    xr, rmass = _col_stats(x, r)
-    tmass = t.sum(axis=0)
-    bern = float(np.einsum("ik,il,ikl->", t, xr, eta)) - float(
-        np.einsum("ik,ikl,l->", t, sp, rmass)
+    eta, sp, params = terms.eta, terms.softplus, terms.params
+    bern = float(np.einsum("ik,il,ikl->", t, cols.xr, eta)) - float(
+        np.einsum("ik,ikl,l->", t, sp, cols.mass)
     )
-    w = covariate_density_weight(cov_weight, x.m)
-    gauss = w * float(np.einsum("ik,ik->", t, logphi))
-    mix = float(xlogy(tmass, params.row_props).sum()) + float(
-        xlogy(rmass, params.col_props).sum()
+    w = covariate_density_weight(cov_weight, cols.x.m)
+    gauss = w * float(np.einsum("ik,ik->", t, terms.logphi))
+    mix = float(xlogy(t.sum(axis=0), params.row_props).sum()) + float(
+        xlogy(cols.mass, params.col_props).sum()
     )
-    entropy = -float(xlogy(t, t).sum()) - float(xlogy(r, r).sum())
+    entropy = -float(xlogy(t, t).sum()) - float(xlogy(cols.r, cols.r).sum())
     return mix + bern + gauss + entropy
 
 
@@ -625,35 +608,32 @@ def _init_assignments(x, y, g, d, cfg: BemConfig, rng: np.random.Generator):
 
 def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None) -> FitResult:
     t, r = _init_assignments(x, y, g, d, cfg, rng) if init is None else init
-    # a frozen r lets every sub-step share one x @ r (see _col_stats)
-    r = np.array(r, dtype=float)
-    r.setflags(write=False)
-    pi, rho = _proportions(t), _proportions(r)
+    cols = ColStats.of(x, r)
     means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
-    coefs, _ = m_step_beta(x, y, t, r, np.zeros((g, d, y.p + 1)), cfg)
-    params = ModelParams(pi, rho, coefs, means, covs)
-
-    trace = [free_energy(x, y, t, r, params, cfg.cov_weight)]
+    coefs, _ = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)), cfg)
+    params = ModelParams(_proportions(t), _proportions(cols.r), coefs, means, covs)
+    terms = ParamTerms.of(y, params)
+    w = cfg.cov_weight
+    trace = [free_energy(t, cols, terms, w)]
     converged = False
     n_iters = 0
     for _ in range(cfg.max_outer_iters):
-        t = row_e_step(x, y, r, params, cfg.cov_weight)
-        trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
+        t = row_e_step(cols, terms, w)
+        trace.append(free_energy(t, cols, terms, w))
 
-        pi = _proportions(t)
         means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
-        coefs, _ = m_step_beta(x, y, t, r, params.coefs, cfg)
-        params = ModelParams(pi, params.col_props, coefs, means, covs)
-        trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
+        coefs, _ = m_step_beta(y, t, cols, params.coefs, cfg)
+        params = ModelParams(_proportions(t), params.col_props, coefs, means, covs)
+        terms = ParamTerms.of(y, params)
+        trace.append(free_energy(t, cols, terms, w))
 
-        r = col_e_step(x, y, t, params)
-        r.setflags(write=False)
-        trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
+        cols = ColStats.of(x, col_e_step(x, t, terms))
+        trace.append(free_energy(t, cols, terms, w))
 
-        rho = _proportions(r)
-        coefs, _ = m_step_beta(x, y, t, r, params.coefs, cfg)
-        params = ModelParams(params.row_props, rho, coefs, means, covs)
-        trace.append(free_energy(x, y, t, r, params, cfg.cov_weight))
+        coefs, _ = m_step_beta(y, t, cols, params.coefs, cfg)
+        params = ModelParams(params.row_props, _proportions(cols.r), coefs, means, covs)
+        terms = ParamTerms.of(y, params)
+        trace.append(free_energy(t, cols, terms, w))
 
         n_iters += 1
         tol = cfg.free_energy_rel_tol
@@ -662,7 +642,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
             converged = True
             break
 
-    assignments = SoftAssignments(t, r)
+    assignments = SoftAssignments(t, cols.r)
     return FitResult(
         params=params,
         assignments=assignments,
@@ -708,7 +688,7 @@ def _merge_split_candidates(
     if d < 2 or x.m < 4:
         return []
     w = result.assignments.col_probs.argmax(axis=1)
-    scores = _col_scores(x, y, t, result.params)
+    scores = _col_scores(x, t, ParamTerms.of(y, result.params))
     moves = []
     for b in range(d):
         cols = np.nonzero(w == b)[0]
@@ -724,16 +704,13 @@ def _merge_split_candidates(
     aug = y.augmented
     g = t.shape[1]
 
+    # row-cluster-weighted predictors, (n, g*q) in row-cluster-major order
+    weighted_aug = (t[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
+
     def score_feats(xs, target):
-        eta_c = aug @ result.params.coefs[:, target, :].T
-        sig = expit(eta_c)
-        dims = []
-        for k in range(g):
-            wk = t[:, k]
-            cross = xs.values.T @ (wk[:, None] * aug)
-            fisher = np.sqrt((wk * sig[:, k] * (1.0 - sig[:, k])) @ (aug**2) + 1e-12)
-            dims.append(cross / fisher)
-        return np.hstack(dims)
+        sig = expit(aug @ result.params.coefs[:, target, :].T)
+        fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
+        return (xs.values.T @ weighted_aug) / fisher.reshape(-1)
 
     def sharpen(xs, halves, iters=3):
         """Two-block column EM on the columns xs with fixed row posteriors
@@ -742,7 +719,7 @@ def _merge_split_candidates(
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(iters):
-            beta, _ = m_step_beta(xs, y, t, r, beta, cfg)
+            beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta, cfg)
             r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), 0.0))
         return r.argmax(axis=1)
 
@@ -815,13 +792,6 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
         raise ParamValidationError(
             f"need 1 <= g <= n and 1 <= d <= m, got g={g}, d={d}, n={x.n}, m={x.m}"
         )
-    try:
-        return _fit_restarts(x, y, g, d, cfg)
-    finally:
-        _memo.last = _memo.cols = None
-
-
-def _fit_restarts(x, y, g, d, cfg: BemConfig) -> FitResult:
     best = None
     last_error = None
     seq = np.random.SeedSequence(cfg.seed)

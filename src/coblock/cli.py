@@ -11,6 +11,9 @@ Every command takes --seed and writes deterministic files: rerunning
 with identical inputs and seed reproduces the bytes exactly (benchmark's
 timing.csv is the one exception, since it records wall-clock time).
 Errors exit with status 1 and a one-line diagnostic on stderr.
+fit, select and influence create --out once their input has loaded and
+before they fit, so an --out that cannot be made fails before the work;
+a fit that fails after that point leaves the directory behind.
 
 fit, select and influence stop a restart once a sweep raises the free
 energy by less than --tol relative. benchmark has no --tol: it fits
@@ -117,9 +120,9 @@ def _outdir(args) -> Path:
 
 def _cmd_fit(args) -> int:
     x, y = load_dataset(args.x, args.y)
+    out = _outdir(args)
     cfg = _bem_config(args)
     result = fit(x, y, args.g, args.d, cfg)
-    out = _outdir(args)
     write_labels_csv(out / "labels.csv", result.map_labels)
     write_params_json(out / "params.json", result.params)
     write_free_energy_csv(out / "free_energy.csv", result.free_energy_trace)
@@ -147,9 +150,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_select(args) -> int:
     x, y = load_dataset(args.x, args.y)
+    out = _outdir(args)
     cfg = _bem_config(args)
     grid = select(x, y, _parse_range(args.g_range), _parse_range(args.d_range), cfg)
-    out = _outdir(args)
     write_bic_grid_csv(out / "bic_grid.csv", grid)
     best_g, best_d = grid.best
     write_json(
@@ -197,10 +200,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_influence(args) -> int:
     x, y = load_dataset(args.x, args.y)
+    out = _outdir(args)
     cfg = _bem_config(args)
     result = fit(x, y, args.g, args.d, cfg)
     report = influence_report(x, y, result)
-    out = _outdir(args)
     write_influence_csv(out / "influence.csv", report, result.map_labels)
     write_labels_csv(out / "labels.csv", result.map_labels)
     write_params_json(out / "params.json", result.params)

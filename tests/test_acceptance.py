@@ -15,6 +15,8 @@ import pytest
 
 import coblock as cb
 from coblock.bem import (
+    ColStats,
+    ParamTerms,
     free_energy,
     weighted_logistic_gradient,
     weighted_logistic_hessian,
@@ -53,7 +55,7 @@ def test_criterion_1_lower_bound(report):
             exact = exact_loglik(x, y, params, cov_weight=weight)
             t = rand_soft(rng, n, 2)
             r = rand_soft(rng, m, 2)
-            fe = free_energy(x, y, t, r, params, cov_weight=weight)
+            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), cov_weight=weight)
             worst = max(worst, fe - exact)
         cfg = cb.BemConfig(n_restarts=2, seed=int(rng.integers(2**31)))
         res = cb.fit(x, y, 2, 2, cfg)

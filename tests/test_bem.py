@@ -1,6 +1,9 @@
 """Block-EM machinery: E-steps against 50-digit references, M-step
 closed forms, the free-energy contract, and end-to-end fits."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +15,9 @@ import coblock as cb
 from coblock import bem
 from coblock.bem import (
     BemConfig,
+    ColStats,
     FitResult,
+    ParamTerms,
     col_e_step,
     fit,
     free_energy,
@@ -83,7 +88,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         r = hard_soft(rng.integers(0, 2, size=2), 2)
-        got = row_e_step(x, y, r, params, cov_weight=weight)
+        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params), cov_weight=weight)
         want = mp_row_posteriors(x, y, r, params, cov_weight=weight)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -93,7 +98,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         t = rand_soft(rng, 2, 2)
-        got = col_e_step(x, y, t, params)
+        got = col_e_step(x, t, ParamTerms.of(y, params))
         want = mp_col_posteriors(x, y, t, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -102,7 +107,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 3, 3, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 3, 2)
-        got = row_e_step(x, y, r, params)
+        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
         want = mp_row_posteriors(x, y, r, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -112,7 +117,7 @@ class TestEStepStructure:
         rng = np.random.default_rng(0)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 1, 2, 1)
-        t = row_e_step(x, y, rand_soft(rng, 5, 2), params)
+        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
         np.testing.assert_array_equal(t, np.ones((6, 1)))
 
     def test_identical_clusters_are_indifferent(self):
@@ -126,14 +131,14 @@ class TestEStepStructure:
             means=np.tile(base.means, (2, 1)),
             covs=np.tile(base.covs, (2, 1, 1)),
         )
-        t = row_e_step(x, y, rand_soft(rng, 5, 2), params)
+        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
         np.testing.assert_allclose(t, 0.5, atol=1e-12)
 
     def test_single_column_cluster_is_certain(self):
         rng = np.random.default_rng(2)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 2, 1, 1)
-        r = col_e_step(x, y, rand_soft(rng, 6, 2), params)
+        r = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
         np.testing.assert_array_equal(r, np.ones((5, 1)))
 
     def test_identical_column_clusters_are_indifferent(self):
@@ -147,7 +152,7 @@ class TestEStepStructure:
             means=base.means,
             covs=base.covs,
         )
-        r = col_e_step(x, y, rand_soft(rng, 6, 2), params)
+        r = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
         np.testing.assert_allclose(r, 0.5, atol=1e-12)
 
     def test_pure_function_is_idempotent(self):
@@ -155,8 +160,8 @@ class TestEStepStructure:
         x, y = rand_instance(rng, 8, 6, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 6, 2)
-        t1 = row_e_step(x, y, r, params)
-        t2 = row_e_step(x, y, r, params)
+        t1 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        t2 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
         np.testing.assert_allclose(t1, t2, atol=1e-12)
 
 
@@ -208,7 +213,7 @@ class TestMSteps:
         x = BinaryMatrix(np.array([[1.0, 0.0, 0.0, 0.0]] * 6))
         y = CovariateTable(np.empty((6, 0)))
         beta, clamped = m_step_beta(
-            x, y, np.ones((6, 1)), np.ones((4, 1)), np.zeros((1, 1, 1)), BemConfig()
+            y, np.ones((6, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1)), BemConfig()
         )
         assert beta[0, 0, 0] == pytest.approx(np.log(0.25 / 0.75), abs=1e-6)
         assert not clamped.any()
@@ -218,7 +223,7 @@ class TestMSteps:
         y = CovariateTable(np.empty((5, 0)))
         cfg = BemConfig(nr_max_iters=100, nr_grad_tol=1e-16)
         beta, clamped = m_step_beta(
-            x, y, np.ones((5, 1)), np.ones((4, 1)), np.zeros((1, 1, 1)), cfg
+            y, np.ones((5, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1)), cfg
         )
         assert beta[0, 0, 0] == pytest.approx(cfg.predictor_bound)
         assert clamped[0, 0]
@@ -233,7 +238,7 @@ class TestMSteps:
         r = rand_soft(rng, 4, 2)
         beta0 = rng.normal(size=(2, 2, 2))
         cfg = BemConfig()
-        beta, clamped = m_step_beta(x, y, t, r, beta0, cfg)
+        beta, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0, cfg)
         assert not clamped.any()
         xr = x.values @ r
         rmass = r.sum(axis=0)
@@ -291,7 +296,7 @@ class TestStackedNewton:
 
     @staticmethod
     def _assert_matches_reference(x, y, t, r, beta0, cfg):
-        got, clamped = m_step_beta(x, y, t, r, beta0, cfg)
+        got, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0, cfg)
         xr = x.values @ r
         rmass = r.sum(axis=0)
         for k in range(t.shape[1]):
@@ -366,7 +371,7 @@ class TestFreeEnergy:
         params = rand_params(rng, 1, 1, 1)
         t, r = np.ones((5, 1)), np.ones((4, 1))
         for w in ("m", "1"):
-            fe = free_energy(x, y, t, r, params, cov_weight=w)
+            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), cov_weight=w)
             ll = exact_loglik(x, y, params, cov_weight=w)
             assert fe == pytest.approx(ll, abs=1e-10)
 
@@ -384,8 +389,9 @@ class TestFreeEnergy:
             covs=np.tile(base.covs, (2, 1, 1)),
         )
         r = np.ones((4, 1))
-        f_hard = free_energy(x, y, hard_soft([0] * 5, 2), r, params)
-        f_unif = free_energy(x, y, np.full((5, 2), 0.5), r, params)
+        cols, terms = ColStats.of(x, r), ParamTerms.of(y, params)
+        f_hard = free_energy(hard_soft([0] * 5, 2), cols, terms)
+        f_unif = free_energy(np.full((5, 2), 0.5), cols, terms)
         assert f_unif - f_hard == pytest.approx(5 * np.log(2.0), abs=1e-9)
 
     def test_bounded_by_exact_loglik(self):
@@ -396,7 +402,7 @@ class TestFreeEnergy:
             t = rand_soft(rng, 4, 2)
             r = rand_soft(rng, 4, 2)
             for w in ("m", "1"):
-                fe = free_energy(x, y, t, r, params, cov_weight=w)
+                fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), cov_weight=w)
                 ll = exact_loglik(x, y, params, cov_weight=w)
                 assert fe <= ll + 1e-9
 
@@ -415,40 +421,33 @@ class TestFreeEnergy:
             means=params.means[pg],
             covs=params.covs[pg],
         )
-        a = free_energy(x, y, t, r, params)
-        b = free_energy(x, y, t[:, pg], r[:, pd], swapped)
+        a = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+        b = free_energy(t[:, pg], ColStats.of(x, r[:, pd]), ParamTerms.of(y, swapped))
         assert a == pytest.approx(b, abs=1e-10)
 
 
 class TestColumnStatistics:
-    @staticmethod
-    def readers(x, y, t, r, params):
-        return (
-            row_e_step(x, y, r, params),
-            free_energy(x, y, t, r, params),
-            m_step_beta(x, y, t, r, params.coefs, BemConfig())[0],
-        )
-
     def test_changed_r_is_never_served_stale(self):
-        # x @ r is shared only for a frozen r that owns its data; a
-        # caller's writable r, or a frozen view of writable memory, may
-        # change between calls and is read afresh each time
+        # ColStats holds a frozen copy of r: a later write to the caller's
+        # r, writable or seen through a frozen view of writable memory,
+        # changes neither that copy nor x @ r
         rng = np.random.default_rng(21)
-        x, y = rand_instance(rng, 30, 12, 1)
-        params = rand_params(rng, 2, 3, 1)
-        t = rand_soft(rng, 30, 2)
+        x, _ = rand_instance(rng, 30, 12, 1)
         writable = rand_soft(rng, 12, 3)
         base = rand_soft(rng, 12, 3)
         view = base.view()
         view.setflags(write=False)
         for r, mem in ((writable, writable), (view, base)):
-            self.readers(x, y, t, r, params)
+            cols = ColStats.of(x, r)
+            before = np.array(r)
             mem[:] = rand_soft(rng, 12, 3)
-            second = self.readers(x, y, t, r, params)
-            fresh = self.readers(x, y, t, np.array(r), params)
-            for a, b in zip(second, fresh):
+            assert not np.array_equal(r, before)
+            fresh = ColStats.of(x, before)
+            np.testing.assert_array_equal(cols.r, before)
+            for a, b in ((cols.r, fresh.r), (cols.xr, fresh.xr), (cols.mass, fresh.mass)):
                 np.testing.assert_array_equal(a, b)
-        assert writable.flags.writeable and base.flags.writeable and t.flags.writeable
+            assert not cols.r.flags.writeable
+        assert writable.flags.writeable and base.flags.writeable
 
 
 class TestMapLabels:
@@ -543,12 +542,10 @@ class TestFit:
         res = fit(sim.x, sim.y, 2, 2, cfg)
         assert res.n_iters == 8
         assert len(calls) <= 2 * res.n_iters + 1
-        assert bem._memo.last is None
 
     def test_x_times_r_once_per_column_posterior(self, monkeypatch):
         # r changes once per sweep, so x @ r is formed once per column
-        # posterior, not by each sub-step that reads it; the memo holding
-        # it is emptied when fit returns and when it raises
+        # posterior, not by each sub-step that reads it
         truth = cb.separated_params(2, 2, p=1, seed=3)
         sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
         calls = []
@@ -566,19 +563,13 @@ class TestFit:
         res = fit(x, sim.y, 2, 2, cfg)
         assert res.n_iters == 8
         assert 0 < len(calls) <= 2 * res.n_iters + 1
-        assert bem._memo.last is None and bem._memo.cols is None
-
-        filled = []
 
         def collapse(*args):
-            filled.append(bem._memo.last is not None and bem._memo.cols is not None)
             raise EmptyCluster("column posterior collapsed")
 
         monkeypatch.setattr(bem, "col_e_step", collapse)
         with pytest.raises(AllRestartsFailed):
             fit(x, sim.y, 2, 2, cfg)
-        assert filled == [True]
-        assert bem._memo.last is None and bem._memo.cols is None
 
     def test_deterministic_given_seed(self):
         truth = cb.separated_params(2, 2, p=1, seed=5)
@@ -588,6 +579,33 @@ class TestFit:
         b = fit(sim.x, sim.y, 2, 2, cfg)
         np.testing.assert_array_equal(a.free_energy_trace, b.free_energy_trace)
         np.testing.assert_array_equal(a.params.coefs, b.params.coefs)
+
+    def test_concurrent_fits_match_sequential_fits(self):
+        # a fit shares no state with other fits, so two fits run at the
+        # same time in two threads return the bits each returns alone
+        sims = [
+            cb.generate(cb.SimConfig(n=150, m=30, params=cb.separated_params(2, 3, p=1, seed=s),
+                                     seed=s + 1))
+            for s in (30, 40)
+        ]
+        cfg = BemConfig(n_restarts=3, seed=7)
+        alone = [fit(sim.x, sim.y, 2, 3, cfg) for sim in sims]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(sim):
+            start.wait()
+            return fit(sim.x, sim.y, 2, 3, cfg)
+
+        # switch threads often, so the two fits interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                together = list(pool.map(run, sims, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(alone, together):
+            assert _fit_bytes(a) == _fit_bytes(b)
 
     def test_one_block_consistency(self):
         # with g=d=1 the fit is a single weighted logistic regression;

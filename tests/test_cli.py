@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coblock as cb
+from coblock import cli
 from coblock.cli import main
 from coblock.dataio import load_dataset, read_labels_csv, read_params_json, write_params_json
 
@@ -142,18 +143,30 @@ class TestErrors:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("under_file", [False, True])
-    def test_out_dir_that_cannot_be_made(self, dataset, tmp_path, capsys, under_file):
+    def test_out_dir_that_cannot_be_made(
+        self, dataset, tmp_path, capsys, monkeypatch, under_file
+    ):
+        # fit, select and influence make --out before they fit, so an --out
+        # that cannot be made fails without the fitting work
+        def never(*args, **kwargs):
+            pytest.fail("fitted before making --out")
+
+        monkeypatch.setattr(cli, "fit", never)
+        monkeypatch.setattr(cli, "select", never)
         taken = tmp_path / "taken"
         taken.write_text("")
         out = taken / "sub" if under_file else taken
-        rc = main([
-            "fit", "--x", str(dataset["x"]), "--y", str(dataset["y"]),
-            "--g", "1", "--d", "1", "--restarts", "1", "--out", str(out),
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot create output directory {out}: ")
-        assert err.count("\n") == 1
+        data = ["--x", str(dataset["x"]), "--y", str(dataset["y"]), "--restarts", "1"]
+        for command in (
+            ["fit", "--g", "1", "--d", "1"],
+            ["select", "--g-range", "1:2", "--d-range", "1:1"],
+            ["influence", "--g", "1", "--d", "1"],
+        ):
+            rc = main(command + data + ["--out", str(out)])
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot create output directory {out}: ")
+            assert err.count("\n") == 1
 
     def test_non_binary_cell(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,2\n1,0\n")

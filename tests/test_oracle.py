@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coblock.bem import free_energy
+from coblock.bem import ColStats, ParamTerms, free_energy
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams
 from helpers import (
     bernoulli_link_logpdf,
@@ -93,7 +93,8 @@ class TestExactLoglik:
             x, y = rand_instance(rng, 4, 4, 1)
             params = rand_params(rng, 2, 2, 1)
             ll = exact_loglik(x, y, params)
-            fe = free_energy(x, y, rand_soft(rng, 4, 2), rand_soft(rng, 4, 2), params)
+            t, r = rand_soft(rng, 4, 2), rand_soft(rng, 4, 2)
+            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
             assert fe <= ll + 1e-9
 
     def test_cluster_relabeling_invariance(self):
