@@ -18,15 +18,15 @@ stack in which each block keeps its own stopping and step rules; linear
 predictors are kept inside a box so complete separation cannot push
 coefficients to infinity. The objective, gradient and Hessian kernels
 take a leading block axis; the public weighted_logistic_* run them on one.
+The Hessians of a fit read the pair products of the covariate columns,
+which are built once per CovariateTable.
 
-The linear predictors eta, their softplus and the Gaussian
-log-densities depend only on the covariates and the parameters, so a
-sweep builds one ParamTerms value per parameter set and hands it to the
-E-steps and the free-energy evaluations that read it. Likewise x @ r
-and the column masses change only with the column posterior r, so the
-sweep builds one ColStats value per column posterior and hands it to
-the row E-step, the logistic M-steps and the free-energy evaluations.
-Both are immutable and local to one fit.
+Derived terms are built once per change and handed to the sub-steps
+that read them, as immutable values local to one fit. A ParamTerms per
+parameter set holds eta, its softplus and the Gaussian log-densities;
+the column M-step changes neither means nor covariances, so its
+ParamTerms reuses the log-densities of the row M-step's. A ColStats per
+column posterior r holds x @ r and the column masses.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .model import (
     HardLabels,
     ModelParams,
     SoftAssignments,
+    _pair_products,
     covariate_density_weight,
     gaussian_cluster_logpdfs,
 )
@@ -142,7 +143,7 @@ class FitResult:
         if np.any(drops < 0):
             worst = int(np.argmin(drops))
             raise ParamValidationError(
-                f"free energy decreased at step {worst + 1}: {tr[worst]!r} -> {tr[worst + 1]!r}"
+                f"free energy decreased at step {worst + 1}: {tr[worst]} -> {tr[worst + 1]}"
             )
         tr.setflags(write=False)
         object.__setattr__(self, "free_energy_trace", tr)
@@ -194,9 +195,11 @@ class ParamTerms:
     logphi: np.ndarray
 
     @classmethod
-    def of(cls, y: CovariateTable, params: ModelParams) -> ParamTerms:
+    def of(cls, y: CovariateTable, params: ModelParams, logphi=None) -> ParamTerms:
+        """The terms of params, reusing logphi if given (params' own densities)."""
         eta, sp = _block_predictors(y.augmented, params.coefs)
-        return cls(params, *_read_only(eta, sp, gaussian_cluster_logpdfs(y, params)))
+        logphi = gaussian_cluster_logpdfs(y, params) if logphi is None else logphi
+        return cls(params, *_read_only(eta, sp, logphi))
 
 
 @dataclass(frozen=True)
@@ -246,20 +249,13 @@ def row_e_step(cols: ColStats, terms: ParamTerms, cov_weight: str = "m") -> np.n
     return _softmax_rows(logpi[None, :] + w * terms.logphi + bern)
 
 
-def _col_logits(xv: np.ndarray, t, eta, sp, logrho) -> np.ndarray:
+def _col_logits(xv: np.ndarray, t, eta, sp, col_props) -> np.ndarray:
     """Unnormalized column log-posteriors, one row per column of xv:
-    logrho_l + sum_i x_ij sum_k t_ik eta_ikl - sum_ik t_ik softplus(eta_ikl)."""
+    log rho_l + sum_i x_ij sum_k t_ik eta_ikl - sum_ik t_ik softplus(eta_ikl)."""
     lin = np.einsum("ik,ikl->il", t, eta)
     base = np.einsum("ik,ikl->l", t, sp)
-    return logrho + xv.T @ lin - base[None, :]
-
-
-def _col_scores(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
-    """Unnormalized column log-posteriors, one row per column of x."""
     with np.errstate(divide="ignore"):
-        logrho = np.log(terms.params.col_props)
-    t = np.asarray(t, dtype=float)
-    return _col_logits(x.values, t, terms.eta, terms.softplus, logrho[None, :])
+        return np.log(col_props)[None, :] + xv.T @ lin - base[None, :]
 
 
 def col_e_step(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
@@ -268,7 +264,9 @@ def col_e_step(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
     The covariate density cancels in the column posterior (it does not
     involve w), so only the Bernoulli terms and log rho_l appear.
     """
-    return _softmax_rows(_col_scores(x, t, terms))
+    t = np.asarray(t, dtype=float)
+    logits = _col_logits(x.values, t, terms.eta, terms.softplus, terms.params.col_props)
+    return _softmax_rows(logits)
 
 
 def _proportions(probs: np.ndarray) -> np.ndarray:
@@ -308,13 +306,6 @@ def _objective(eta, w, c, tm):
 def _gradient(sig, y_aug, w, c, tm):
     """Gradient of _objective in beta, from sig = expit(eta): (..., q)."""
     return (w * (c - tm * sig)) @ y_aug
-
-
-def _pair_products(y_aug):
-    """Index pairs a <= b of the q predictor columns and their products,
-    (n, q(q+1)/2): every Hessian of a stack then comes from one matmul."""
-    a, b = np.triu_indices(y_aug.shape[1])
-    return (a, b), y_aug[:, a] * y_aug[:, b]
 
 
 def _neg_hessian(sig, w, tm, pairs):
@@ -370,6 +361,8 @@ def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
                 except np.linalg.LinAlgError:
                     pass
         ok = np.all(np.isfinite(sol), axis=1)
+        if boost == 0.0 and ok.all():
+            return sol
         delta[todo[ok]] = sol[ok]
         todo = todo[~ok]
         if not todo.size:
@@ -379,24 +372,25 @@ def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
     return delta
 
 
-def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
+def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemConfig):
     """Damped Newton ascent of K independent block objectives at once.
 
     Block b is row b of weights (K, n), counts (K, n), mass (K,) and
-    beta_init (K, q); its objective, gradient and Hessian come from the
-    kernels behind weighted_logistic_*, with one expit per iteration
-    shared by the last two. Each block follows its own rules: it stops
-    once its gradient is below nr_grad_tol times its Bernoulli mass, so
-    the iteration count does not grow with the data size; its step is
-    scaled so every linear predictor stays in [-predictor_bound,
-    predictor_bound], then halved until the objective does not decrease
-    (at most 60 tries, and never below a relative step of 1e-15); it
-    stops when no direction, no room in the box or no ascent is left.
-    A stopped block leaves the active set, so later iterations work on
-    the others only. The predictors of the accepted step are kept for
-    the next iteration. Returns (beta, clamped) where clamped marks
-    blocks with a binding box.
+    beta_init (K, q), over the predictors y.augmented (n, q); its
+    objective, gradient and Hessian come from the kernels behind
+    weighted_logistic_*, with one expit per iteration shared by the last
+    two. Each block follows its own rules: it stops once its gradient is
+    below nr_grad_tol times its Bernoulli mass, so the iteration count
+    does not grow with the data size; its step is scaled so every linear
+    predictor stays in [-predictor_bound, predictor_bound], then halved
+    until the objective does not decrease (at most 60 tries, and never
+    below a relative step of 1e-15); it stops when no direction, no room
+    in the box or no ascent is left. A stopped block leaves the active
+    set, so later iterations work on the others only. The predictors of
+    the accepted step are kept for the next iteration. Returns (beta,
+    clamped) where clamped marks blocks with a binding box.
     """
+    y_aug, pairs = y.augmented, y._aug_pairs
     beta = np.array(beta_init, dtype=float)
     peak = np.zeros(beta.shape[0])
     bound = cfg.predictor_bound
@@ -406,7 +400,6 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
     w, c, tm = weights, counts, mass[:, None]
     obj = _objective(eta, w, c, tm)
     scale = 1.0 + tm[:, 0] * w.sum(axis=1)
-    pairs = _pair_products(y_aug)
 
     def retire(keep, *extra):
         """Store the blocks not in keep and drop them from the active set."""
@@ -449,29 +442,35 @@ def _newton_stack(y_aug, weights, counts, mass, beta_init, cfg: BemConfig):
             delta, step = retire(room, delta, step)
             if not idx.size:
                 break
+        cand = b + step[:, None] * delta
+        cand_eta = cand @ y_aug.T
+        cand_obj = _objective(cand_eta, w, c, tm)
+        up = cand_obj >= obj
+        if up.all():
+            b, eta, obj = cand, cand_eta, cand_obj
+            continue
         dmax = np.max(np.abs(delta), axis=1)
         bref = 1.0 + np.max(np.abs(b), axis=1)
         accepted = np.zeros(idx.size, dtype=bool)
         trying = np.arange(idx.size)
-        rows = slice(None)
-        for _ in range(60):
-            cand = b[rows] + step[rows, None] * delta[rows]
-            cand_eta = cand @ y_aug.T
-            cand_obj = _objective(cand_eta, w[rows], c[rows], tm[rows])
-            up = cand_obj >= obj[rows]
+        for tries in range(1, 61):
             hit = trying[up]
             b[hit], eta[hit], obj[hit] = cand[up], cand_eta[up], cand_obj[up]
             accepted[hit] = True
             trying = trying[~up]
             step[trying] *= 0.5
             trying = trying[step[trying] * dmax[trying] >= 1e-15 * bref[trying]]
-            if not trying.size:
+            if not trying.size or tries == 60:
                 break
-            rows = trying
+            cand = b[trying] + step[trying, None] * delta[trying]
+            cand_eta = cand @ y_aug.T
+            cand_obj = _objective(cand_eta, w[trying], c[trying], tm[trying])
+            up = cand_obj >= obj[trying]
         if not accepted.all():
             retire(accepted)
 
-    retire(np.zeros(idx.size, dtype=bool))
+    beta[idx] = b
+    peak[idx] = np.abs(eta).max(axis=1)
     return beta, peak >= bound - 1e-6
 
 
@@ -493,12 +492,8 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init, cfg: BemConfig)
     beta_init = np.asarray(beta_init, dtype=float)
     g, d, q = beta_init.shape
     coefs, clamped = _newton_stack(
-        y.augmented,
-        np.repeat(t.T, d, axis=0),
-        np.tile(cols.xr.T, (g, 1)),
-        np.tile(cols.mass, g),
-        beta_init.reshape(g * d, q),
-        cfg,
+        y, np.repeat(t.T, d, axis=0), np.tile(cols.xr.T, (g, 1)), np.tile(cols.mass, g),
+        beta_init.reshape(g * d, q), cfg,
     )
     return coefs.reshape(g, d, q), clamped.reshape(g, d)
 
@@ -632,7 +627,8 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
 
         coefs, _ = m_step_beta(y, t, cols, params.coefs, cfg)
         params = ModelParams(params.row_props, _proportions(cols.r), coefs, means, covs)
-        terms = ParamTerms.of(y, params)
+        # same means and covariances: only eta and its softplus change
+        terms = ParamTerms.of(y, params, terms.logphi)
         trace.append(free_energy(t, cols, terms, w))
 
         n_iters += 1
@@ -688,7 +684,8 @@ def _merge_split_candidates(
     if d < 2 or x.m < 4:
         return []
     w = result.assignments.col_probs.argmax(axis=1)
-    scores = _col_scores(x, t, ParamTerms.of(y, result.params))
+    eta, sp = _block_predictors(y.augmented, result.params.coefs)
+    scores = _col_logits(x.values, t, eta, sp, result.params.col_props)
     moves = []
     for b in range(d):
         cols = np.nonzero(w == b)[0]
@@ -714,13 +711,13 @@ def _merge_split_candidates(
 
     def sharpen(xs, halves, iters=3):
         """Two-block column EM on the columns xs with fixed row posteriors
-        and uniform mixing weights; purifies a noisy 2-means nucleation so
-        the global refit does not wash the split back out."""
+        and uniform mixing weights (log rho = 0); purifies a noisy 2-means
+        nucleation so the global refit does not wash the split back out."""
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(iters):
             beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta, cfg)
-            r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), 0.0))
+            r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), np.ones(2)))
         return r.argmax(axis=1)
 
     candidates, labs = [], []

@@ -14,6 +14,7 @@ it is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,11 @@ class CovariateTable:
         aug.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "augmented", aug)
+
+    @cached_property
+    def _aug_pairs(self):
+        """The _pair_products of augmented, built once, when a fit first needs them."""
+        return _pair_products(self.augmented)
 
     @property
     def n(self) -> int:
@@ -228,6 +234,13 @@ class HardLabels:
                 raise ParamValidationError(f"{name} must be 1-based (min value >= 1)")
         object.__setattr__(self, "row_labels", z)
         object.__setattr__(self, "col_labels", w)
+
+
+def _pair_products(y_aug: np.ndarray):
+    """Index pairs a <= b of the q predictor columns and their products
+    (n, q(q+1)/2), read-only: every Hessian of a stack is one matmul."""
+    a, b = (_frozen(i, dtype=np.intp) for i in np.triu_indices(y_aug.shape[1]))
+    return (a, b), _frozen(y_aug[:, a] * y_aug[:, b])
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:

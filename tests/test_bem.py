@@ -347,6 +347,25 @@ class TestStackedNewton:
         np.testing.assert_array_equal(got[2, 0], beta0[2, 0])
         assert got[2, 1, 0] != beta0[2, 1, 0]
 
+    def test_cached_pair_products_match_fresh_ones(self):
+        # the pair products are built once per CovariateTable and read by
+        # every stack; a second solve on the same table, and one on a table
+        # that builds them fresh, return identical arrays
+        rng = np.random.default_rng(41)
+        x, y = rand_instance(rng, 30, 10, 2)
+        t, cols = rand_soft(rng, 30, 2), ColStats.of(x, rand_soft(rng, 10, 3))
+        beta0 = rng.normal(size=(2, 3, 3))
+        pairs = y._aug_pairs
+        (a, b), prods = pairs
+        assert not (a.flags.writeable or b.flags.writeable or prods.flags.writeable)
+        np.testing.assert_array_equal(prods, y.augmented[:, a] * y.augmented[:, b])
+        cfg = BemConfig()
+        first = m_step_beta(y, t, cols, beta0, cfg)
+        for table in (y, CovariateTable(y.values)):
+            for want, got in zip(first, m_step_beta(table, t, cols, beta0, cfg)):
+                np.testing.assert_array_equal(got, want)
+        assert y._aug_pairs is pairs
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_identifiable_stacks(self, seed):
         rng = np.random.default_rng(500 + seed)
@@ -529,7 +548,8 @@ class TestFit:
 
     def test_gaussian_terms_once_per_parameter_set(self, monkeypatch):
         # each ModelParams of a sweep is read by the E-steps and the free
-        # energy; its Gaussian log-densities are computed once, not per caller
+        # energy; its Gaussian log-densities are computed once, not per
+        # caller, and only for the row M-step's means and covariances
         truth = cb.separated_params(2, 2, p=1, seed=3)
         sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
         calls = []
@@ -541,7 +561,42 @@ class TestFit:
                         max_outer_iters=8)
         res = fit(sim.x, sim.y, 2, 2, cfg)
         assert res.n_iters == 8
-        assert len(calls) <= 2 * res.n_iters + 1
+        assert len(calls) <= res.n_iters + 1
+
+    def test_column_m_step_terms_equal_fresh_terms(self, monkeypatch):
+        # the column M-step's ParamTerms reuses the row M-step's Gaussian
+        # log-densities; every ParamTerms a sweep reads must equal one
+        # built afresh from its parameters
+        truth = cb.separated_params(2, 3, p=2, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        seen = []
+        inner = bem.free_energy
+        monkeypatch.setattr(
+            bem, "free_energy", lambda t, cols, terms, w: seen.append(terms) or inner(t, cols, terms, w)
+        )
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, free_energy_rel_tol=0.0,
+                        max_outer_iters=4)
+        res = bem._single_fit(sim.x, sim.y, 2, 3, cfg, np.random.default_rng(2))
+        assert len(seen) == 1 + 4 * res.n_iters
+        # trace entry 4k+2 follows a row M-step, 4k+4 a column M-step
+        pairs = list(zip(seen[2::4], seen[4::4]))
+        assert all(col_m.logphi is row_m.logphi for row_m, col_m in pairs)
+        assert any(not np.array_equal(col_m.eta, row_m.eta) for row_m, col_m in pairs)
+        for terms in seen:
+            fresh = ParamTerms.of(sim.y, terms.params)
+            for name in ("eta", "softplus", "logphi"):
+                assert np.array_equal(getattr(terms, name), getattr(fresh, name)), name
+
+    def test_free_energy_drop_message_prints_plain_floats(self):
+        # the drop of a known failing select, at the values it reported
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=30, m=10, params=truth, seed=4))
+        res = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, seed=1))
+        with pytest.raises(ParamValidationError) as err:
+            replace(res, free_energy_trace=[-7478.6677093051685, -7478.671139297537])
+        msg = str(err.value)
+        assert "np.float64" not in msg
+        assert msg.endswith("at step 1: -7478.6677093051685 -> -7478.671139297537")
 
     def test_x_times_r_once_per_column_posterior(self, monkeypatch):
         # r changes once per sweep, so x @ r is formed once per column
