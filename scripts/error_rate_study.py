@@ -35,7 +35,7 @@ def run_point(d, n, m, reps, restarts):
             slope_scale=1.0, seed=1000 + rep,
         )
         sim = cb.generate(cb.SimConfig(n=n, m=m, params=truth, seed=77 + rep))
-        cfg = cb.BemConfig(n_restarts=restarts, init_strategy="kmeans_like", seed=11 + rep)
+        cfg = cb.BemConfig(n_restarts=restarts, seed=11 + rep)
         res = cb.fit(sim.x, sim.y, 2, d, cfg)
         row_errs.append(cb.label_error_rate(res.map_labels.row_labels, sim.truth.row_labels))
         col_errs.append(cb.label_error_rate(res.map_labels.col_labels, sim.truth.col_labels))

@@ -1,8 +1,9 @@
 """How often BIC grid search recovers the generating model size.
 
 Simulates from a separated (2, 3) truth and tallies the selected (g, d)
-over seeded runs. Selection uses the once-per-row covariate weighting
-so the Gaussian part cannot swamp the penalty on the binary part.
+over seeded runs. Selection uses the default once-per-row covariate
+weighting, so the Gaussian part cannot swamp the penalty on the binary
+part.
 
 Usage:
     python3 scripts/selection_study.py --runs 20
@@ -27,10 +28,7 @@ def picks(runs, n=300, m=60, restarts=3, g_max=3, d_max=4):
             seed=500 + run, distinct_blocks=True,
         )
         sim = cb.generate(cb.SimConfig(n=n, m=m, params=truth, seed=900 + run))
-        cfg = cb.BemConfig(
-            n_restarts=restarts, init_strategy="kmeans_like",
-            seed=13 + run, cov_weight="1",
-        )
+        cfg = cb.BemConfig(n_restarts=restarts, seed=13 + run)
         yield cb.select(sim.x, sim.y, range(1, g_max + 1), range(2, d_max + 1), cfg).best
 
 

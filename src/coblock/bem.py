@@ -50,6 +50,7 @@ from .model import (
     ModelParams,
     SoftAssignments,
     _pair_products,
+    _Value,
     covariate_density_weight,
     gaussian_cluster_logpdfs,
 )
@@ -57,66 +58,58 @@ from .model import (
 _TRACE_SLACK = 1e-9
 # merges tried per split-merge round, cheapest first
 _SPLIT_MERGE_MOVES = 3
-
-INIT_RANDOM_SOFT = "random_soft"
-INIT_KMEANS_LIKE = "kmeans_like"
+# fixed M-step settings; _newton_stack and m_step_gaussian say what each does
+_NR_MAX_ITERS = 25
+_NR_GRAD_TOL = 1e-8
+_PREDICTOR_BOUND = 30.0
+_RIDGE = 1e-8
+_MIN_CLUSTER_MASS = 1e-6
 
 
 @dataclass(frozen=True)
 class BemConfig:
-    """Knobs of the fitting loop; defaults are ours, chosen for robustness.
+    """Settings of the fitting loop; the defaults are the ones the tests validate.
 
-    cov_weight selects the exponent convention for the covariate density
-    in the free energy and row E-step: "m" counts it once per cell (so a
-    row's Gaussian term carries weight m), "1" counts it once per row.
-    predictor_bound is the box half-width for linear predictors inside
-    the logistic solver (separation guard). nr_grad_tol is relative to
-    each block's Bernoulli mass, so solver effort is size-invariant.
-    split_merge_rounds caps the rounds of post-restart refinement. A
-    round tries up to 3 merges of one column cluster into another, the
-    cheapest first, and for each merge splits each of the 2 most
-    heterogeneous clusters onto the freed index; each distinct column
-    partition among these candidates is refit once. The best refit
-    replaces the fit only if it raises the free energy, and a round
-    without such a gain ends the refinement. It targets optima where one
-    true column cluster is fitted twice while two others share a
-    cluster. A fit stops once a sweep raises the free energy by less
-    than free_energy_rel_tol * |F|; a tolerance of 0 disables that test,
-    so every fit runs exactly max_outer_iters sweeps (a fixed point
-    would otherwise end it early at any positive tolerance).
+    init_strategy has one value, "kmeans_like": each restart starts from
+    k-means++-seeded Lloyd runs on the rows, then the columns. cov_weight
+    selects the exponent convention for the covariate density in the free
+    energy and row E-step: "1" counts it once per row, "m" once per cell (so
+    a row's Gaussian term carries weight m). split_merge_rounds caps the
+    rounds of merge-and-split refinement that fit runs after the restarts
+    (see _merge_split_candidates); it targets optima where one true column
+    cluster is fitted twice while two others share a cluster, and a round
+    that does not raise the free energy ends it. A fit stops once a sweep
+    raises the free energy by less than free_energy_rel_tol * |F|; a
+    tolerance of 0 disables that test, so every fit runs exactly
+    max_outer_iters sweeps (a fixed point would otherwise end it early at
+    any positive tolerance). The M-steps read the module constants
+    _NR_MAX_ITERS, _NR_GRAD_TOL, _PREDICTOR_BOUND, _RIDGE and
+    _MIN_CLUSTER_MASS, which are not settings.
     """
 
     max_outer_iters: int = 200
     free_energy_rel_tol: float = 1e-8
-    nr_max_iters: int = 25
-    nr_grad_tol: float = 1e-8
     n_restarts: int = 10
-    init_strategy: str = INIT_RANDOM_SOFT
-    ridge: float = 1e-8
-    min_cluster_mass: float = 1e-6
+    init_strategy: str = "kmeans_like"
     seed: int = 0
-    predictor_bound: float = 30.0
-    cov_weight: str = "m"
+    cov_weight: str = "1"
     split_merge_rounds: int = 2
 
     def __post_init__(self):
-        if self.max_outer_iters < 1 or self.nr_max_iters < 1 or self.n_restarts < 1:
+        if self.max_outer_iters < 1 or self.n_restarts < 1:
             raise ValueError("iteration and restart counts must be >= 1")
         if self.split_merge_rounds < 0 or self.seed < 0:
             raise ValueError("split_merge_rounds and seed must be >= 0")
-        # written so that NaN fails every test
-        if not (self.free_energy_rel_tol >= 0 and self.nr_grad_tol > 0):
-            raise ValueError("free_energy_rel_tol must be >= 0 and nr_grad_tol > 0")
-        if not (self.ridge >= 0 and self.min_cluster_mass > 0 and self.predictor_bound > 0):
-            raise ValueError("ridge >= 0, min_cluster_mass > 0, predictor_bound > 0 required")
-        if self.init_strategy not in (INIT_RANDOM_SOFT, INIT_KMEANS_LIKE):
+        if not self.free_energy_rel_tol >= 0:  # NaN fails too
+            raise ValueError("free_energy_rel_tol must be >= 0")
+        if self.init_strategy != "kmeans_like":
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.cov_weight not in ("m", "1"):
             raise ValueError(f"cov_weight must be 'm' or '1', got {self.cov_weight!r}")
 
 
 @dataclass(frozen=True)
-class FitResult:
+class FitResult(_Value):
     """Outcome of one fit: parameters, posteriors, and the ascent trace.
 
     free_energy_trace holds one value per sub-step, starting with the
@@ -233,13 +226,13 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def row_e_step(cols: ColStats, terms: ParamTerms, cov_weight: str = "m") -> np.ndarray:
+def row_e_step(cols: ColStats, terms: ParamTerms, cov_weight: str) -> np.ndarray:
     """Posterior over row clusters given the column posterior and params.
 
     log t_ik, up to the per-row normalizer, is
         log pi_k + W log phi(y_i; mu_k, Sigma_k)
         + sum_l [ (x r)_il eta_ikl - r_.l softplus(eta_ikl) ]
-    with W the covariate weight (m by default). Normalization is done by
+    with W the covariate weight of cov_weight. Normalization is done by
     log-sum-exp so nothing underflows.
     """
     bern = np.einsum("il,ikl->ik", cols.xr, terms.eta) - terms.softplus @ cols.mass
@@ -275,18 +268,17 @@ def _proportions(probs: np.ndarray) -> np.ndarray:
     return probs.sum(axis=0) / probs.shape[0]
 
 
-def m_step_gaussian(
-    t, y: CovariateTable, ridge: float = 1e-8, min_cluster_mass: float = 1e-6
-):
-    """Weighted Gaussian MLE per row cluster, with a ridge on the covariance.
+def m_step_gaussian(t, y: CovariateTable):
+    """Weighted Gaussian MLE per row cluster, with _RIDGE on the covariance
+    diagonal.
 
     Raises EmptyCluster when a cluster's posterior mass drops below
-    min_cluster_mass; the fitting loop treats that restart as failed
+    _MIN_CLUSTER_MASS; the fitting loop treats that restart as failed
     rather than reseeding mid-run (which would break monotonicity).
     """
     t = np.asarray(t, dtype=float)
     mass = t.sum(axis=0)
-    low = np.flatnonzero(mass < min_cluster_mass)
+    low = np.flatnonzero(mass < _MIN_CLUSTER_MASS)
     if low.size:
         raise EmptyCluster(
             f"row cluster {low[0] + 1} collapsed (mass {mass[low[0]]:.3e})"
@@ -294,7 +286,7 @@ def m_step_gaussian(
     means = (t.T @ y.values) / mass[:, None]
     diffs = y.values[None, :, :] - means[:, None, :]
     covs = np.einsum("ki,kip,kiq->kpq", t.T, diffs, diffs) / mass[:, None, None]
-    return means, covs + ridge * np.eye(y.p)[None, :, :]
+    return means, covs + _RIDGE * np.eye(y.p)[None, :, :]
 
 
 def _objective(eta, w, c, tm):
@@ -338,12 +330,12 @@ def weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_ma
     return -_neg_hessian(expit(y_aug @ beta), row_weights, trial_mass, _pair_products(y_aug))
 
 
-def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
+def _solve_boosted(neg_h, grad) -> np.ndarray:
     """Newton directions for a (K, q, q) stack of systems.
 
     A block whose system is singular, or whose direction is not finite,
     is retried with a ridge boost on the diagonal: none at first, then
-    max(ridge, 1e-12), then 1e3 times the last boost, for at most 8
+    max(_RIDGE, 1e-12), then 1e3 times the last boost, for at most 8
     tries. Only the failed blocks are retried. Rows never solved are NaN.
     """
     delta = np.full(grad.shape, np.nan)
@@ -367,12 +359,12 @@ def _solve_boosted(neg_h, grad, ridge: float) -> np.ndarray:
         todo = todo[~ok]
         if not todo.size:
             break
-        boost = max(ridge, 1e-12) if boost == 0.0 else boost * 1e3
+        boost = max(_RIDGE, 1e-12) if boost == 0.0 else boost * 1e3
         lhs, rhs = neg_h[todo] + boost * np.eye(grad.shape[1]), grad[todo]
     return delta
 
 
-def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemConfig):
+def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init):
     """Damped Newton ascent of K independent block objectives at once.
 
     Block b is row b of weights (K, n), counts (K, n), mass (K,) and
@@ -380,9 +372,9 @@ def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemC
     objective, gradient and Hessian come from the kernels behind
     weighted_logistic_*, with one expit per iteration shared by the last
     two. Each block follows its own rules: it stops once its gradient is
-    below nr_grad_tol times its Bernoulli mass, so the iteration count
+    below _NR_GRAD_TOL times its Bernoulli mass, so the iteration count
     does not grow with the data size; its step is scaled so every linear
-    predictor stays in [-predictor_bound, predictor_bound], then halved
+    predictor stays in [-_PREDICTOR_BOUND, _PREDICTOR_BOUND], then halved
     until the objective does not decrease (at most 60 tries, and never
     below a relative step of 1e-15); it stops when no direction, no room
     in the box or no ascent is left. A stopped block leaves the active
@@ -393,7 +385,6 @@ def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemC
     y_aug, pairs = y.augmented, y._aug_pairs
     beta = np.array(beta_init, dtype=float)
     peak = np.zeros(beta.shape[0])
-    bound = cfg.predictor_bound
     idx = np.arange(beta.shape[0])
     b = beta.copy()
     eta = b @ y_aug.T
@@ -412,17 +403,17 @@ def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemC
         )
         return [a[keep] for a in extra]
 
-    for _ in range(cfg.nr_max_iters):
+    for _ in range(_NR_MAX_ITERS):
         if not idx.size:
             break
         sig = expit(eta)
         grad = _gradient(sig, y_aug, w, c, tm)
-        live = np.max(np.abs(grad), axis=1) >= cfg.nr_grad_tol * scale
+        live = np.max(np.abs(grad), axis=1) >= _NR_GRAD_TOL * scale
         if not live.all():
             sig, grad = retire(live, sig, grad)
             if not idx.size:
                 break
-        delta = _solve_boosted(_neg_hessian(sig, w, tm, pairs), grad, cfg.ridge)
+        delta = _solve_boosted(_neg_hessian(sig, w, tm, pairs), grad)
         solved = np.all(np.isfinite(delta), axis=1)
         if not solved.all():
             (delta,) = retire(solved, delta)
@@ -431,7 +422,7 @@ def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemC
         # largest step that keeps every predictor inside the box
         deta = delta @ y_aug.T
         caps = np.divide(
-            bound - np.sign(deta) * eta,
+            _PREDICTOR_BOUND - np.sign(deta) * eta,
             np.abs(deta),
             out=np.full(deta.shape, np.inf),
             where=deta != 0,
@@ -471,10 +462,10 @@ def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init, cfg: BemC
 
     beta[idx] = b
     peak[idx] = np.abs(eta).max(axis=1)
-    return beta, peak >= bound - 1e-6
+    return beta, peak >= _PREDICTOR_BOUND - 1e-6
 
 
-def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init, cfg: BemConfig):
+def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init):
     """Per-block logistic coefficient updates, warm-started from beta_init.
 
     Blocks are independent: block (k,l) maximizes
@@ -493,12 +484,12 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init, cfg: BemConfig)
     g, d, q = beta_init.shape
     coefs, clamped = _newton_stack(
         y, np.repeat(t.T, d, axis=0), np.tile(cols.xr.T, (g, 1)), np.tile(cols.mass, g),
-        beta_init.reshape(g * d, q), cfg,
+        beta_init.reshape(g * d, q)
     )
     return coefs.reshape(g, d, q), clamped.reshape(g, d)
 
 
-def free_energy(t, cols: ColStats, terms: ParamTerms, cov_weight: str = "m") -> float:
+def free_energy(t, cols: ColStats, terms: ParamTerms, cov_weight: str) -> float:
     """Variational lower bound on the log-likelihood at (t, cols.r, terms.params).
 
     Sum of the expected complete-data log-likelihood under the
@@ -570,18 +561,14 @@ def _soft_from_hard(labels: np.ndarray, k: int) -> np.ndarray:
     return probs
 
 
-def _init_assignments(x, y, g, d, cfg: BemConfig, rng: np.random.Generator):
+def _init_assignments(x, y, g, d, rng: np.random.Generator):
     """Starting soft assignments for one restart.
 
-    kmeans_like first clusters rows on (covariates, row means), then
-    clusters columns on per-row-cluster block means together with the
+    First clusters rows on (covariates, row means), then clusters
+    columns on per-row-cluster block means together with the
     within-cluster covariance between cells and covariates; the latter
     separates column clusters that differ only through covariate slopes.
     """
-    if cfg.init_strategy == INIT_RANDOM_SOFT:
-        t = rng.dirichlet(np.full(g, 1.5), size=x.n)
-        r = rng.dirichlet(np.full(d, 1.5), size=x.m)
-        return t, r
     row_feats = _standardize(np.hstack([y.values, x.values.mean(axis=1, keepdims=True)]))
     z0 = _lloyd(row_feats, g, rng)
     blocks = []
@@ -602,10 +589,10 @@ def _init_assignments(x, y, g, d, cfg: BemConfig, rng: np.random.Generator):
 
 
 def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None) -> FitResult:
-    t, r = _init_assignments(x, y, g, d, cfg, rng) if init is None else init
+    t, r = _init_assignments(x, y, g, d, rng) if init is None else init
     cols = ColStats.of(x, r)
-    means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
-    coefs, _ = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)), cfg)
+    means, covs = m_step_gaussian(t, y)
+    coefs, _ = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)))
     params = ModelParams(_proportions(t), _proportions(cols.r), coefs, means, covs)
     terms = ParamTerms.of(y, params)
     w = cfg.cov_weight
@@ -616,8 +603,8 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
         t = row_e_step(cols, terms, w)
         trace.append(free_energy(t, cols, terms, w))
 
-        means, covs = m_step_gaussian(t, y, cfg.ridge, cfg.min_cluster_mass)
-        coefs, _ = m_step_beta(y, t, cols, params.coefs, cfg)
+        means, covs = m_step_gaussian(t, y)
+        coefs, _ = m_step_beta(y, t, cols, params.coefs)
         params = ModelParams(_proportions(t), params.col_props, coefs, means, covs)
         terms = ParamTerms.of(y, params)
         trace.append(free_energy(t, cols, terms, w))
@@ -625,7 +612,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
         cols = ColStats.of(x, col_e_step(x, t, terms))
         trace.append(free_energy(t, cols, terms, w))
 
-        coefs, _ = m_step_beta(y, t, cols, params.coefs, cfg)
+        coefs, _ = m_step_beta(y, t, cols, params.coefs)
         params = ModelParams(params.row_props, _proportions(cols.r), coefs, means, covs)
         # same means and covariances: only eta and its softplus change
         terms = ParamTerms.of(y, params, terms.logphi)
@@ -657,9 +644,7 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return pairs == np.unique(a).size == np.unique(b).size
 
 
-def _merge_split_candidates(
-    x, y, result: FitResult, cfg: BemConfig, rng: np.random.Generator
-):
+def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     """Candidate (t0, r0) inits that merge one column cluster into another
     and split a heterogeneous cluster onto the freed index.
 
@@ -716,7 +701,7 @@ def _merge_split_candidates(
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(iters):
-            beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta, cfg)
+            beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta)
             r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), np.ones(2)))
         return r.argmax(axis=1)
 
@@ -808,7 +793,7 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
     for _ in range(cfg.split_merge_rounds):
         rng = np.random.default_rng(seq.spawn(1)[0])
         improved = None
-        for init in _merge_split_candidates(x, y, best, cfg, rng):
+        for init in _merge_split_candidates(x, y, best, rng):
             try:
                 candidate = _single_fit(x, y, g, d, cfg, rng, init=init)
             except (EmptyCluster, NotPositiveDefinite):

@@ -75,15 +75,20 @@ def _parse_int_list(text: str):
 
 
 def _add_bem_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument("--restarts", type=int, default=10, help="independent restarts")
-    sub.add_argument("--max-iters", type=int, default=200, help="outer iteration cap")
-    sub.add_argument("--tol", type=float, default=1e-8, help="relative free-energy tolerance")
+    cfg = BemConfig()  # the library's defaults are the CLI's
+    sub.add_argument("--seed", type=int, default=cfg.seed, help="random seed (default %(default)s)")
+    sub.add_argument("--restarts", type=int, default=cfg.n_restarts, help="independent restarts")
+    sub.add_argument(
+        "--max-iters", type=int, default=cfg.max_outer_iters, help="outer iteration cap"
+    )
+    sub.add_argument(
+        "--tol", type=float, default=cfg.free_energy_rel_tol, help="relative free-energy tolerance"
+    )
     sub.add_argument(
         "--cov-weight",
         choices=("m", "1"),
-        default="m",
-        help="covariate density weight: once per cell (m) or once per row (1)",
+        default=cfg.cov_weight,
+        help="covariate density weight: once per cell (m) or once per row (1); default %(default)s",
     )
 
 
@@ -322,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--g", type=int, default=2, help="row clusters (default 2)")
     p_bench.add_argument("--d-list", default="2", help="comma-separated column-cluster counts")
     p_bench.add_argument("--reps", type=int, default=1, help="repetitions per grid point")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=BemConfig().seed)
     p_bench.add_argument("--restarts", type=int, default=1)
     p_bench.add_argument("--max-iters", type=int, default=10)
-    p_bench.add_argument("--cov-weight", choices=("m", "1"), default="m")
+    p_bench.add_argument("--cov-weight", choices=("m", "1"), default=BemConfig().cov_weight)
     p_bench.set_defaults(handler=_cmd_benchmark)
 
     return parser

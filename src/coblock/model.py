@@ -13,7 +13,7 @@ it is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +33,16 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _Value:
+    """Base of the value types: they pickle through their constructor, which
+    validates and freezes the arrays again (plain pickle leaves them writable)."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(_Value):
     """An n-by-m matrix of {0,1} observations (rows: individuals, columns: variables).
 
     The constructor copies its input and checks every cell. _adopt wraps
@@ -78,7 +86,7 @@ class BinaryMatrix:
 
 
 @dataclass(frozen=True)
-class CovariateTable:
+class CovariateTable(_Value):
     """Per-row covariate vectors, plus the augmented form with a leading constant 1.
 
     The augmentation convention is fixed package-wide: index 0 of each
@@ -117,7 +125,7 @@ class CovariateTable:
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Value):
     """Full parameter set of the co-clustering model.
 
     Attributes:
@@ -196,7 +204,7 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class SoftAssignments:
+class SoftAssignments(_Value):
     """Row and column posterior membership probabilities, row-stochastic."""
 
     row_probs: np.ndarray
@@ -218,7 +226,7 @@ class SoftAssignments:
 
 
 @dataclass(frozen=True)
-class HardLabels:
+class HardLabels(_Value):
     """Hard cluster assignments; labels are 1-based throughout the public API."""
 
     row_labels: np.ndarray
@@ -270,8 +278,8 @@ def covariate_density_weight(cov_weight: str, m: int) -> float:
     """Exponent applied to the covariate density in the joint cell model.
 
     "m": the Gaussian factor appears once per cell, i.e. with total weight
-    m per row (the default, matching the log-domain E-step formulas).
-    "1": the Gaussian factor appears once per row.
+    m per row.
+    "1": the Gaussian factor appears once per row (BemConfig's default).
     """
     if cov_weight == "m":
         return float(m)

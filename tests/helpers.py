@@ -39,8 +39,8 @@ import mpmath as mp
 import numpy as np
 from scipy.special import xlogy
 
+from coblock import bem
 from coblock.bem import (
-    BemConfig,
     weighted_logistic_gradient,
     weighted_logistic_hessian,
     weighted_logistic_objective,
@@ -246,26 +246,28 @@ def hard_soft(labels, k: int) -> np.ndarray:
     return out
 
 
-def newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init, cfg: BemConfig):
+def newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init):
     """Damped Newton ascent of one block's objective inside the predictor box.
 
     Steps are scaled so every linear predictor stays in
-    [-predictor_bound, predictor_bound], then halved until the objective
-    does not decrease. A singular Hessian is retried with ridge boosts.
-    The gradient stop is relative to the block's Bernoulli mass so the
-    iteration count does not grow with the data size. Returns
-    (beta, clamped) where clamped records a binding box.
+    [-_PREDICTOR_BOUND, _PREDICTOR_BOUND], then halved until the
+    objective does not decrease. A singular Hessian is retried with
+    ridge boosts. The gradient stop is relative to the block's Bernoulli
+    mass so the iteration count does not grow with the data size. The
+    constants are read from coblock.bem at call time, so a test that
+    patches one there changes both solvers. Returns (beta, clamped)
+    where clamped records a binding box.
     """
     beta = np.array(beta_init, dtype=float)
     q = beta.size
     obj = weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_mass)
-    bound = cfg.predictor_bound
+    bound = bem._PREDICTOR_BOUND
     eye = np.eye(q)
     grad_scale = 1.0 + trial_mass * float(np.sum(row_weights))
 
-    for _ in range(cfg.nr_max_iters):
+    for _ in range(bem._NR_MAX_ITERS):
         grad = weighted_logistic_gradient(beta, y_aug, row_weights, success_counts, trial_mass)
-        if np.max(np.abs(grad)) < cfg.nr_grad_tol * grad_scale:
+        if np.max(np.abs(grad)) < bem._NR_GRAD_TOL * grad_scale:
             break
         hess = weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_mass)
         neg_h = -hess
@@ -279,7 +281,7 @@ def newton_block(y_aug, row_weights, success_counts, trial_mass, beta_init, cfg:
             if cand is not None and np.all(np.isfinite(cand)):
                 delta = cand
                 break
-            boost = max(cfg.ridge, 1e-12) if boost == 0.0 else boost * 1e3
+            boost = max(bem._RIDGE, 1e-12) if boost == 0.0 else boost * 1e3
         if delta is None:
             break
 

@@ -53,26 +53,20 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = BemConfig()
         assert cfg.max_outer_iters == 200
-        assert cfg.cov_weight == "m"
+        assert cfg.init_strategy == "kmeans_like"
+        assert cfg.cov_weight == "1"
 
     @pytest.mark.parametrize(
         "field,value",
         [
             ("max_outer_iters", 0),
             ("free_energy_rel_tol", -1.0),
-            ("nr_max_iters", 0),
-            ("nr_grad_tol", 0.0),
             ("n_restarts", 0),
             ("init_strategy", "bogus"),
-            ("ridge", -1e-3),
             ("cov_weight", "2"),
             ("split_merge_rounds", -1),
             ("seed", -1),
             ("free_energy_rel_tol", float("nan")),
-            ("nr_grad_tol", float("nan")),
-            ("ridge", float("nan")),
-            ("min_cluster_mass", float("nan")),
-            ("predictor_bound", float("nan")),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -107,8 +101,8 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 3, 3, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 3, 2)
-        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
-        want = mp_row_posteriors(x, y, r, params)
+        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params), "m")
+        want = mp_row_posteriors(x, y, r, params, cov_weight="m")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -117,7 +111,7 @@ class TestEStepStructure:
         rng = np.random.default_rng(0)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 1, 2, 1)
-        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params), "m")
         np.testing.assert_array_equal(t, np.ones((6, 1)))
 
     def test_identical_clusters_are_indifferent(self):
@@ -131,7 +125,7 @@ class TestEStepStructure:
             means=np.tile(base.means, (2, 1)),
             covs=np.tile(base.covs, (2, 1, 1)),
         )
-        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params), "m")
         np.testing.assert_allclose(t, 0.5, atol=1e-12)
 
     def test_single_column_cluster_is_certain(self):
@@ -160,8 +154,8 @@ class TestEStepStructure:
         x, y = rand_instance(rng, 8, 6, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 6, 2)
-        t1 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
-        t2 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        t1 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params), "m")
+        t2 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params), "m")
         np.testing.assert_allclose(t1, t2, atol=1e-12)
 
 
@@ -184,21 +178,21 @@ class TestMSteps:
 
     def test_gaussian_two_point_cluster(self):
         y = CovariateTable([[0.0], [2.0]])
-        mu, cov = m_step_gaussian(np.ones((2, 1)), y, ridge=1e-8)
+        mu, cov = m_step_gaussian(np.ones((2, 1)), y)
         assert mu[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert cov[0, 0, 0] == pytest.approx(1.0 + 1e-8, abs=1e-14)
 
     def test_gaussian_point_mass(self):
         y = CovariateTable([[3.0, -1.0], [99.0, 99.0]])
         t = np.array([[1.0], [0.0]])
-        mu, cov = m_step_gaussian(t, y, ridge=1e-8)
+        mu, cov = m_step_gaussian(t, y)
         np.testing.assert_allclose(mu[0], [3.0, -1.0])
         np.testing.assert_allclose(cov[0], 1e-8 * np.eye(2), atol=1e-20)
 
     def test_gaussian_symmetric_pair(self):
         a = 1.7
         y = CovariateTable([[a], [-a]])
-        mu, cov = m_step_gaussian(np.full((2, 1), 1.0) * 0.5, y, ridge=1e-8)
+        mu, cov = m_step_gaussian(np.full((2, 1), 1.0) * 0.5, y)
         assert mu[0, 0] == pytest.approx(0.0, abs=1e-14)
         assert cov[0, 0, 0] == pytest.approx(a * a + 1e-8, abs=1e-12)
 
@@ -206,26 +200,27 @@ class TestMSteps:
         y = CovariateTable([[0.0], [1.0]])
         t = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(EmptyCluster):
-            m_step_gaussian(t, y, min_cluster_mass=1e-6)
+            m_step_gaussian(t, y)
 
     def test_beta_matches_weighted_logit(self):
         # block cell mean 0.25 with uniform weights: intercept log(1/3)
         x = BinaryMatrix(np.array([[1.0, 0.0, 0.0, 0.0]] * 6))
         y = CovariateTable(np.empty((6, 0)))
         beta, clamped = m_step_beta(
-            y, np.ones((6, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1)), BemConfig()
+            y, np.ones((6, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1))
         )
         assert beta[0, 0, 0] == pytest.approx(np.log(0.25 / 0.75), abs=1e-6)
         assert not clamped.any()
 
-    def test_beta_separation_guard(self):
+    def test_beta_separation_guard(self, monkeypatch):
         x = BinaryMatrix(np.ones((5, 4)))
         y = CovariateTable(np.empty((5, 0)))
-        cfg = BemConfig(nr_max_iters=100, nr_grad_tol=1e-16)
+        monkeypatch.setattr(bem, "_NR_MAX_ITERS", 100)
+        monkeypatch.setattr(bem, "_NR_GRAD_TOL", 1e-16)
         beta, clamped = m_step_beta(
-            y, np.ones((5, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1)), cfg
+            y, np.ones((5, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1))
         )
-        assert beta[0, 0, 0] == pytest.approx(cfg.predictor_bound)
+        assert beta[0, 0, 0] == pytest.approx(bem._PREDICTOR_BOUND)
         assert clamped[0, 0]
 
     def test_beta_ascends_and_flattens(self):
@@ -237,8 +232,7 @@ class TestMSteps:
         t = rand_soft(rng, 6, 2)
         r = rand_soft(rng, 4, 2)
         beta0 = rng.normal(size=(2, 2, 2))
-        cfg = BemConfig()
-        beta, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0, cfg)
+        beta, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0)
         assert not clamped.any()
         xr = x.values @ r
         rmass = r.sum(axis=0)
@@ -250,7 +244,7 @@ class TestMSteps:
                 assert after >= before - 1e-12
                 grad = weighted_logistic_gradient(beta[k, l], *args)
                 scale = 1.0 + rmass[l] * t[:, k].sum()
-                assert np.max(np.abs(grad)) < cfg.nr_grad_tol * scale
+                assert np.max(np.abs(grad)) < bem._NR_GRAD_TOL * scale
 
 
 class TestGradientAndHessian:
@@ -295,14 +289,14 @@ class TestStackedNewton:
     """
 
     @staticmethod
-    def _assert_matches_reference(x, y, t, r, beta0, cfg):
-        got, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0, cfg)
+    def _assert_matches_reference(x, y, t, r, beta0):
+        got, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0)
         xr = x.values @ r
         rmass = r.sum(axis=0)
         for k in range(t.shape[1]):
             for l in range(r.shape[1]):
                 args = (y.augmented, t[:, k], xr[:, l], rmass[l])
-                ref, ref_clamped = newton_block(*args, beta0[k, l], cfg)
+                ref, ref_clamped = newton_block(*args, beta0[k, l])
                 assert clamped[k, l] == ref_clamped, (k, l)
                 np.testing.assert_allclose(got[k, l], ref, rtol=1e-6, atol=1e-9)
                 want = weighted_logistic_objective(ref, *args)
@@ -310,7 +304,7 @@ class TestStackedNewton:
                 assert abs(have - want) <= 1e-12 * max(abs(want), 1.0), (k, l)
         return got, clamped
 
-    def test_mixed_stack(self):
+    def test_mixed_stack(self, monkeypatch):
         # row clusters 0/1 share rows 0..37 softly; rows 38-39 (covariate
         # exactly 0) are all of row cluster 2, so its Hessians are singular.
         # Column cluster 0 is interior, 1 is all ones on rows 0..37
@@ -329,19 +323,20 @@ class TestStackedNewton:
         t[38:, 2] = 1.0
         r = hard_soft([0] * 6 + [1] * 6, 3)
         # a tight gradient stop lets the separated blocks reach the box
-        cfg = BemConfig(nr_grad_tol=1e-16, nr_max_iters=60)
+        monkeypatch.setattr(bem, "_NR_GRAD_TOL", 1e-16)
+        monkeypatch.setattr(bem, "_NR_MAX_ITERS", 60)
         beta0 = rng.normal(size=(3, 3, p + 1))
         beta0[:2, 1, 0] = 20.0
         # block (2, 0) starts at its own optimum
         xr = x.values @ r
         beta0[2, 0], _ = newton_block(
-            y.augmented, t[:, 2], xr[:, 0], r[:, 0].sum(), beta0[2, 0], cfg
+            y.augmented, t[:, 2], xr[:, 0], r[:, 0].sum(), beta0[2, 0]
         )
         hess = weighted_logistic_hessian(
             beta0[2, 1], y.augmented, t[:, 2], xr[:, 1], r[:, 1].sum()
         )
         assert np.linalg.matrix_rank(hess) < p + 1
-        got, clamped = self._assert_matches_reference(x, y, t, r, beta0, cfg)
+        got, clamped = self._assert_matches_reference(x, y, t, r, beta0)
         assert clamped.tolist() == [[False, True, False], [False, True, False], [False] * 3]
         np.testing.assert_array_equal(got[:, 2], beta0[:, 2])
         np.testing.assert_array_equal(got[2, 0], beta0[2, 0])
@@ -359,15 +354,14 @@ class TestStackedNewton:
         (a, b), prods = pairs
         assert not (a.flags.writeable or b.flags.writeable or prods.flags.writeable)
         np.testing.assert_array_equal(prods, y.augmented[:, a] * y.augmented[:, b])
-        cfg = BemConfig()
-        first = m_step_beta(y, t, cols, beta0, cfg)
+        first = m_step_beta(y, t, cols, beta0)
         for table in (y, CovariateTable(y.values)):
-            for want, got in zip(first, m_step_beta(table, t, cols, beta0, cfg)):
+            for want, got in zip(first, m_step_beta(table, t, cols, beta0)):
                 np.testing.assert_array_equal(got, want)
         assert y._aug_pairs is pairs
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_identifiable_stacks(self, seed):
+    def test_random_identifiable_stacks(self, seed, monkeypatch):
         rng = np.random.default_rng(500 + seed)
         n, m = int(rng.integers(8, 50)), int(rng.integers(2, 12))
         p, g, d = int(rng.integers(0, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -377,10 +371,8 @@ class TestStackedNewton:
         x = BinaryMatrix(xv)
         y = CovariateTable(rng.normal(scale=rng.choice([0.5, 3.0]), size=(n, p)))
         beta0 = rng.normal(size=(g, d, p + 1))
-        cfg = BemConfig(nr_max_iters=int(rng.choice([5, 25, 60])))
-        self._assert_matches_reference(
-            x, y, rand_soft(rng, n, g), rand_soft(rng, m, d), beta0, cfg
-        )
+        monkeypatch.setattr(bem, "_NR_MAX_ITERS", int(rng.choice([5, 25, 60])))
+        self._assert_matches_reference(x, y, rand_soft(rng, n, g), rand_soft(rng, m, d), beta0)
 
 
 class TestFreeEnergy:
@@ -409,8 +401,8 @@ class TestFreeEnergy:
         )
         r = np.ones((4, 1))
         cols, terms = ColStats.of(x, r), ParamTerms.of(y, params)
-        f_hard = free_energy(hard_soft([0] * 5, 2), cols, terms)
-        f_unif = free_energy(np.full((5, 2), 0.5), cols, terms)
+        f_hard = free_energy(hard_soft([0] * 5, 2), cols, terms, "m")
+        f_unif = free_energy(np.full((5, 2), 0.5), cols, terms, "m")
         assert f_unif - f_hard == pytest.approx(5 * np.log(2.0), abs=1e-9)
 
     def test_bounded_by_exact_loglik(self):
@@ -440,8 +432,8 @@ class TestFreeEnergy:
             means=params.means[pg],
             covs=params.covs[pg],
         )
-        a = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
-        b = free_energy(t[:, pg], ColStats.of(x, r[:, pd]), ParamTerms.of(y, swapped))
+        a = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), "m")
+        b = free_energy(t[:, pg], ColStats.of(x, r[:, pd]), ParamTerms.of(y, swapped), "m")
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -493,10 +485,11 @@ class TestFit:
         with pytest.raises(LengthMismatch):
             fit(x, CovariateTable(np.zeros((3, 1))), 1, 1, BemConfig())
 
-    def test_all_restarts_failed(self):
+    def test_all_restarts_failed(self, monkeypatch):
         rng = np.random.default_rng(13)
         x, y = rand_instance(rng, 4, 4, 1)
-        cfg = BemConfig(n_restarts=3, min_cluster_mass=10.0, seed=0)
+        monkeypatch.setattr(bem, "_MIN_CLUSTER_MASS", 10.0)
+        cfg = BemConfig(n_restarts=3, seed=0)
         with pytest.raises(AllRestartsFailed):
             fit(x, y, 2, 2, cfg)
 
@@ -685,10 +678,22 @@ class TestFit:
     def test_separated_design_recovery(self):
         truth = cb.separated_params(2, 2, p=1, mean_scale=10.0, intercept_scale=3.0, seed=21)
         sim = cb.generate(cb.SimConfig(n=400, m=40, params=truth, seed=22))
-        cfg = BemConfig(n_restarts=5, init_strategy="kmeans_like", seed=23)
+        cfg = BemConfig(n_restarts=5, seed=23)
         res = fit(sim.x, sim.y, 2, 2, cfg)
         err = cb.label_error_rate(res.map_labels.row_labels, sim.truth.row_labels)
         assert err <= 0.1
+
+    def test_default_init_keeps_row_variances_off_the_ridge(self):
+        # five row clusters on two true ones invite a fit that puts one row
+        # on a cluster of its own: its variance is the ridge alone, and its
+        # density term outscores the proper fits (F -4647.6 against -4653.2
+        # here, under the weight pinned below). The default init must not
+        # end there.
+        truth = cb.separated_params(2, 3, p=1, mean_scale=10.0)
+        sim = cb.generate(cb.SimConfig(n=300, m=40, params=truth, seed=0))
+        res = fit(sim.x, sim.y, 5, 3, BemConfig(seed=0, cov_weight="1"))
+        variances = np.diagonal(res.params.covs, axis1=1, axis2=2)
+        assert variances.min() > 1e4 * bem._RIDGE
 
     def test_column_permutation_equivariance(self):
         truth = cb.separated_params(2, 2, p=1, mean_scale=8.0, intercept_scale=3.0, seed=24)
@@ -696,7 +701,7 @@ class TestFit:
         rng = np.random.default_rng(26)
         perm = rng.permutation(24)
         xp = BinaryMatrix(sim.x.values[:, perm])
-        cfg = BemConfig(n_restarts=8, init_strategy="kmeans_like", seed=27)
+        cfg = BemConfig(n_restarts=8, seed=27)
         a = fit(sim.x, sim.y, 2, 2, cfg)
         b = fit(xp, sim.y, 2, 2, cfg)
         assert a.final_free_energy == pytest.approx(b.final_free_energy, abs=1e-6)
@@ -706,8 +711,9 @@ class TestFit:
     def test_fitted_bound_against_enumeration(self):
         rng = np.random.default_rng(28)
         x, y = rand_instance(rng, 4, 4, 1)
-        res = fit(x, y, 2, 2, BemConfig(n_restarts=2, seed=29))
-        ll = mp_exact_loglik(x, y, res.params, cov_weight="m")
+        cfg = BemConfig(n_restarts=2, seed=29)
+        res = fit(x, y, 2, 2, cfg)
+        ll = mp_exact_loglik(x, y, res.params, cov_weight=cfg.cov_weight)
         assert res.final_free_energy <= ll + 1e-9
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: file plumbing, determinism, error reporting."""
 
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -34,6 +35,23 @@ def dataset(tmp_path):
 
 def read_all_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ["--g", "2", "--d", "2"]),
+        ("select", ["--g-range", "1:2", "--d-range", "1:2"]),
+        ("influence", ["--g", "2", "--d", "2"]),
+    ])
+    def test_flags_default_to_bem_config(self, command, flags):
+        # the CLI and the library share one set of defaults
+        argv = [command, "--x", "x.csv", "--y", "y.csv", "--out", "out", *flags]
+        cfg = cli._bem_config(cli.build_parser().parse_args(argv))
+        assert asdict(cfg) == asdict(cb.BemConfig())
+
+    def test_benchmark_shares_seed_and_weight(self):
+        args = cli.build_parser().parse_args(["benchmark", "--n-list", "10", "--out", "out"])
+        assert (args.seed, args.cov_weight) == (cb.BemConfig().seed, cb.BemConfig().cov_weight)
 
 
 class TestSimulate:

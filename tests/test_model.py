@@ -1,11 +1,14 @@
 """Core types, the logistic link and the Gaussian densities."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit as logistic
 
+from coblock.bem import FitResult, map_labels
 from coblock.errors import NotPositiveDefinite, ParamValidationError
 from coblock.model import (
     BinaryMatrix,
@@ -274,3 +277,47 @@ class TestAssignmentsAndLabels:
         lab = HardLabels([1, 2], [1, 1, 2])
         assert lab.row_labels.tolist() == [1, 2]
         assert lab.col_labels.tolist() == [1, 1, 2]
+
+
+def _fit_result():
+    rng = np.random.default_rng(5)
+    soft = SoftAssignments(rng.dirichlet(np.ones(2), size=4), rng.dirichlet(np.ones(2), size=3))
+    return FitResult(rand_params(rng, 2, 2, 1), soft, [-3.0, -2.5], True, 1, map_labels(soft))
+
+
+def _table_with_pairs():
+    table = CovariateTable([[0.5, 1.0], [2.0, -1.0]])
+    table._aug_pairs  # built lazily; a pickled table must not carry it writable
+    return table
+
+
+def _arrays(obj):
+    """Every ndarray reachable through obj's attributes, by path."""
+    if isinstance(obj, np.ndarray):
+        return {"": obj}
+    if isinstance(obj, tuple):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return {}
+    return {f"{k}.{path}": a for k, v in items for path, a in _arrays(v).items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BinaryMatrix([[0, 1], [1, 1]]),
+    _table_with_pairs,
+    lambda: rand_params(np.random.default_rng(4), 2, 3, 2),
+    lambda: SoftAssignments([[0.25, 0.75]], [[1.0, 0.0], [0.5, 0.5]]),
+    lambda: HardLabels([1, 2], [2, 1, 1]),
+    _fit_result,
+], ids=["BinaryMatrix", "CovariateTable", "ModelParams", "SoftAssignments", "HardLabels",
+        "FitResult"])
+def test_pickle_round_trip_keeps_arrays_frozen(make):
+    obj = make()
+    want = _arrays(obj)
+    got = _arrays(pickle.loads(pickle.dumps(obj)))
+    assert set(got) <= set(want) and len(got) > 0
+    for path, arr in got.items():
+        np.testing.assert_array_equal(arr, want[path])
+        assert not arr.flags.writeable, path

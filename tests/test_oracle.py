@@ -92,9 +92,9 @@ class TestExactLoglik:
         for _ in range(3):
             x, y = rand_instance(rng, 4, 4, 1)
             params = rand_params(rng, 2, 2, 1)
-            ll = exact_loglik(x, y, params)
+            ll = exact_loglik(x, y, params, cov_weight="m")
             t, r = rand_soft(rng, 4, 2), rand_soft(rng, 4, 2)
-            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), "m")
             assert fe <= ll + 1e-9
 
     def test_cluster_relabeling_invariance(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coblock as cb
+from coblock import bem
 from coblock.bem import BemConfig
 from coblock.errors import ParamValidationError
 from coblock.model import ModelParams
@@ -88,10 +89,10 @@ class TestSelect:
         return cb.generate(cb.SimConfig(n=60, m=16, params=params, seed=3))
 
     def test_one_block_data_selects_smallest_model(self):
-        # weight "1" keeps the Gaussian term counted once per row, so an
-        # extra row cluster cannot pay its penalty on one-block data
+        # the default weight "1" keeps the Gaussian term counted once per
+        # row, so an extra row cluster cannot pay its penalty on one-block data
         sim = self.one_block_data()
-        cfg = BemConfig(n_restarts=2, seed=4, cov_weight="1")
+        cfg = BemConfig(n_restarts=2, seed=4)
         grid = select(sim.x, sim.y, [1, 2], [1, 2], cfg)
         assert set(grid.entries) == {(1, 1), (1, 2), (2, 1), (2, 2)}
         assert grid.best == (1, 1)
@@ -119,10 +120,11 @@ class TestSelect:
         for key in a.entries:
             assert a.entries[key].bic == b.entries[key].bic
 
-    def test_failed_cell_is_recorded_and_excluded(self):
+    def test_failed_cell_is_recorded_and_excluded(self, monkeypatch):
         sim = self.one_block_data()
         # mass floor above n/g makes every g=3 restart collapse
-        cfg = BemConfig(n_restarts=2, min_cluster_mass=25.0, seed=7)
+        monkeypatch.setattr(bem, "_MIN_CLUSTER_MASS", 25.0)
+        cfg = BemConfig(n_restarts=2, seed=7)
         grid = select(sim.x, sim.y, [1, 3], [1], cfg)
         assert (3, 1) in grid.failures
         assert (3, 1) not in grid.entries
