@@ -31,7 +31,7 @@ column posterior r holds x @ r and the column masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, xlogy
@@ -104,8 +104,7 @@ class BemConfig:
             raise ValueError("free_energy_rel_tol must be >= 0")
         if self.init_strategy != "kmeans_like":
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
-        if self.cov_weight not in ("m", "1"):
-            raise ValueError(f"cov_weight must be 'm' or '1', got {self.cov_weight!r}")
+        covariate_density_weight(self.cov_weight, 1)  # raises on an unknown weight
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ class FitResult(_Value):
 
     free_energy_trace holds one value per sub-step, starting with the
     value right after initialization; it is validated non-decreasing up
-    to the documented slack. map_labels must be the argmax of the
-    assignments (checked at construction).
+    to the documented slack. map_labels is not a constructor argument:
+    construction derives it from the assignments by map_labels().
     """
 
     params: ModelParams
@@ -123,7 +122,7 @@ class FitResult(_Value):
     free_energy_trace: np.ndarray
     converged: bool
     n_iters: int
-    map_labels: HardLabels
+    map_labels: HardLabels = field(init=False)
 
     def __post_init__(self):
         tr = np.array(self.free_energy_trace, dtype=float)
@@ -140,11 +139,7 @@ class FitResult(_Value):
             )
         tr.setflags(write=False)
         object.__setattr__(self, "free_energy_trace", tr)
-        expected = map_labels(self.assignments)
-        if not np.array_equal(expected.row_labels, self.map_labels.row_labels) or not np.array_equal(
-            expected.col_labels, self.map_labels.col_labels
-        ):
-            raise ParamValidationError("map_labels inconsistent with assignments")
+        object.__setattr__(self, "map_labels", map_labels(self.assignments))
 
     @property
     def final_free_energy(self) -> float:
@@ -335,8 +330,8 @@ def _solve_boosted(neg_h, grad) -> np.ndarray:
 
     A block whose system is singular, or whose direction is not finite,
     is retried with a ridge boost on the diagonal: none at first, then
-    max(_RIDGE, 1e-12), then 1e3 times the last boost, for at most 8
-    tries. Only the failed blocks are retried. Rows never solved are NaN.
+    _RIDGE, then 1e3 times the last boost, for at most 8 tries. Only the
+    failed blocks are retried. Rows never solved are NaN.
     """
     delta = np.full(grad.shape, np.nan)
     todo = np.arange(grad.shape[0])
@@ -359,7 +354,7 @@ def _solve_boosted(neg_h, grad) -> np.ndarray:
         todo = todo[~ok]
         if not todo.size:
             break
-        boost = max(_RIDGE, 1e-12) if boost == 0.0 else boost * 1e3
+        boost = _RIDGE if boost == 0.0 else boost * 1e3
         lhs, rhs = neg_h[todo] + boost * np.eye(grad.shape[1]), grad[todo]
     return delta
 
@@ -533,14 +528,14 @@ def _kpp_centers(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centers
 
 
-def _lloyd(feats: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 10) -> np.ndarray:
-    """One k-means++ seeded Lloyd run; restart diversity comes from the rng."""
+def _lloyd(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One k-means++ seeded Lloyd run of 10 steps; restarts differ by the rng."""
     n = feats.shape[0]
     if k == 1:
         return np.zeros(n, dtype=np.int64)
     centers = _kpp_centers(feats, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(n_iter):
+    for _ in range(10):
         d2 = ((feats[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         for c in range(k):
@@ -625,14 +620,12 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
             converged = True
             break
 
-    assignments = SoftAssignments(t, cols.r)
     return FitResult(
         params=params,
-        assignments=assignments,
+        assignments=SoftAssignments(t, cols.r),
         free_energy_trace=np.array(trace),
         converged=converged,
         n_iters=n_iters,
-        map_labels=map_labels(assignments),
     )
 
 
@@ -694,13 +687,13 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
         fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
         return (xs.values.T @ weighted_aug) / fisher.reshape(-1)
 
-    def sharpen(xs, halves, iters=3):
-        """Two-block column EM on the columns xs with fixed row posteriors
-        and uniform mixing weights (log rho = 0); purifies a noisy 2-means
+    def sharpen(xs, halves):
+        """Three rounds of two-block column EM on the columns xs, row posteriors
+        fixed, mixing weights uniform (log rho = 0); purifies a noisy 2-means
         nucleation so the global refit does not wash the split back out."""
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
-        for _ in range(iters):
+        for _ in range(3):
             beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta)
             r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), np.ones(2)))
         return r.argmax(axis=1)

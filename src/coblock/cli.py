@@ -10,7 +10,11 @@ Commands:
 Every command takes --seed and writes deterministic files: rerunning
 with identical inputs and seed reproduces the bytes exactly (benchmark's
 timing.csv is the one exception, since it records wall-clock time).
-Errors exit with status 1 and a one-line diagnostic on stderr.
+Each writes manifest.json with the keys "command", "version", the
+arguments it echoes, "config" (the BemConfig; not for simulate) and its
+results, in that order, from one writer (_manifest).
+Errors exit with status 1 and a one-line diagnostic on stderr; unusable
+counts, tolerances, seeds and ranges are reported before any file is read.
 fit, select and influence create --out once their input has loaded and
 before they fit, so an --out that cannot be made fails before the work;
 a fit that fails after that point leaves the directory behind.
@@ -75,6 +79,10 @@ def _parse_int_list(text: str):
 
 
 def _add_bem_flags(sub) -> None:
+    """The data flags and fitting settings of fit, select and influence."""
+    sub.add_argument("--x", required=True, help="binary matrix CSV")
+    sub.add_argument("--y", required=True, help="covariate CSV")
+    sub.add_argument("--out", required=True, help="output directory")
     cfg = BemConfig()  # the library's defaults are the CLI's
     sub.add_argument("--seed", type=int, default=cfg.seed, help="random seed (default %(default)s)")
     sub.add_argument("--restarts", type=int, default=cfg.n_restarts, help="independent restarts")
@@ -93,8 +101,10 @@ def _add_bem_flags(sub) -> None:
 
 
 def _check_counts(args) -> None:
-    """Reject counts, tolerances and seeds no run can use, before any file is read."""
-    for flag in ("restarts", "max_iters", "reps"):
+    """Reject counts, tolerances, seeds and ranges no run can use, before any file is read."""
+    # benchmark's --g is worded by separated_params; fit checks g <= n, d <= m
+    fitted = ("g", "d") if args.command in ("fit", "influence") else ()
+    for flag in ("restarts", "max_iters", "reps", *fitted):
         value = getattr(args, flag, 1)
         if value < 1:
             raise ParseError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
@@ -102,6 +112,8 @@ def _check_counts(args) -> None:
         raise ParseError(f"--tol must be >= 0, got {args.tol}")
     if args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
+    if args.command == "select":
+        args.gs, args.ds = _parse_range(args.g_range), _parse_range(args.d_range)
 
 
 def _bem_config(args) -> BemConfig:
@@ -123,6 +135,16 @@ def _outdir(args) -> Path:
     return out
 
 
+def _manifest(out: Path, args, echo, cfg: BemConfig | None = None, **results) -> None:
+    """Write out/manifest.json in the layout the module docstring gives."""
+    record = {"command": args.command, "version": __version__}
+    record.update((name, getattr(args, name)) for name in echo)
+    if cfg is not None:
+        record["config"] = asdict(cfg)
+    record.update(results)
+    write_json(out / "manifest.json", record)
+
+
 def _cmd_fit(args) -> int:
     x, y = load_dataset(args.x, args.y)
     out = _outdir(args)
@@ -131,20 +153,9 @@ def _cmd_fit(args) -> int:
     write_labels_csv(out / "labels.csv", result.map_labels)
     write_params_json(out / "params.json", result.params)
     write_free_energy_csv(out / "free_energy.csv", result.free_energy_trace)
-    write_json(
-        out / "manifest.json",
-        {
-            "command": "fit",
-            "version": __version__,
-            "x": str(args.x),
-            "y": str(args.y),
-            "g": args.g,
-            "d": args.d,
-            "config": asdict(cfg),
-            "converged": result.converged,
-            "n_iters": result.n_iters,
-            "free_energy": result.final_free_energy,
-        },
+    _manifest(
+        out, args, ("x", "y", "g", "d"), cfg,
+        converged=result.converged, n_iters=result.n_iters, free_energy=result.final_free_energy,
     )
     print(
         f"fit g={args.g} d={args.d}: converged={result.converged} "
@@ -157,24 +168,13 @@ def _cmd_select(args) -> int:
     x, y = load_dataset(args.x, args.y)
     out = _outdir(args)
     cfg = _bem_config(args)
-    grid = select(x, y, _parse_range(args.g_range), _parse_range(args.d_range), cfg)
+    grid = select(x, y, args.gs, args.ds, cfg)
     write_bic_grid_csv(out / "bic_grid.csv", grid)
     best_g, best_d = grid.best
-    write_json(
-        out / "manifest.json",
-        {
-            "command": "select",
-            "version": __version__,
-            "x": str(args.x),
-            "y": str(args.y),
-            "g_range": args.g_range,
-            "d_range": args.d_range,
-            "config": asdict(cfg),
-            "best_g": best_g,
-            "best_d": best_d,
-            "best_bic": grid.best_cell().bic,
-            "failures": {f"{g},{d}": msg for (g, d), msg in sorted(grid.failures.items())},
-        },
+    _manifest(
+        out, args, ("x", "y", "g_range", "d_range"), cfg,
+        best_g=best_g, best_d=best_d, best_bic=grid.best_cell().bic,
+        failures={f"{g},{d}": msg for (g, d), msg in sorted(grid.failures.items())},
     )
     print(f"best: g={best_g} d={best_d} bic={grid.best_cell().bic:.6f}")
     return 0
@@ -188,17 +188,7 @@ def _cmd_simulate(args) -> int:
     write_y_csv(out / "y.csv", sim.y)
     write_x_csv(out / "x.csv", sim.x)
     write_labels_csv(out / "truth_labels.csv", sim.truth)
-    write_json(
-        out / "manifest.json",
-        {
-            "command": "simulate",
-            "version": __version__,
-            "params": str(args.params),
-            "n": args.n,
-            "m": args.m,
-            "seed": args.seed,
-        },
-    )
+    _manifest(out, args, ("params", "n", "m", "seed"))
     print(f"simulated n={args.n} m={args.m} from {args.params}")
     return 0
 
@@ -212,19 +202,7 @@ def _cmd_influence(args) -> int:
     write_influence_csv(out / "influence.csv", report, result.map_labels)
     write_labels_csv(out / "labels.csv", result.map_labels)
     write_params_json(out / "params.json", result.params)
-    write_json(
-        out / "manifest.json",
-        {
-            "command": "influence",
-            "version": __version__,
-            "x": str(args.x),
-            "y": str(args.y),
-            "g": args.g,
-            "d": args.d,
-            "config": asdict(cfg),
-            "top_column": int(report.ranking[0]),
-        },
-    )
+    _manifest(out, args, ("x", "y", "g", "d"), cfg, top_column=int(report.ranking[0]))
     print(f"influence: top column {int(report.ranking[0])} of {x.m}")
     return 0
 
@@ -261,19 +239,7 @@ def _cmd_benchmark(args) -> int:
                 )
     out = _outdir(args)
     write_timing_csv(out / "timing.csv", rows)
-    write_json(
-        out / "manifest.json",
-        {
-            "command": "benchmark",
-            "version": __version__,
-            "n_list": args.n_list,
-            "m": args.m,
-            "g": args.g,
-            "d_list": args.d_list,
-            "reps": args.reps,
-            "config": asdict(cfg),
-        },
-    )
+    _manifest(out, args, ("n_list", "m", "g", "d_list", "reps"), cfg)
     return 0
 
 
@@ -286,18 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_fit = commands.add_parser("fit", help="fit one (g, d) model")
-    p_fit.add_argument("--x", required=True, help="binary matrix CSV")
-    p_fit.add_argument("--y", required=True, help="covariate CSV")
-    p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--g", type=int, required=True, help="row clusters")
     p_fit.add_argument("--d", type=int, required=True, help="column clusters")
     _add_bem_flags(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_sel = commands.add_parser("select", help="grid search over (g, d)")
-    p_sel.add_argument("--x", required=True)
-    p_sel.add_argument("--y", required=True)
-    p_sel.add_argument("--out", required=True)
     p_sel.add_argument("--g-range", required=True, help="inclusive range A:B")
     p_sel.add_argument("--d-range", required=True, help="inclusive range A:B")
     _add_bem_flags(p_sel)
@@ -312,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_inf = commands.add_parser("influence", help="fit and rank columns by influence")
-    p_inf.add_argument("--x", required=True)
-    p_inf.add_argument("--y", required=True)
-    p_inf.add_argument("--out", required=True)
     p_inf.add_argument("--g", type=int, required=True)
     p_inf.add_argument("--d", type=int, required=True)
     _add_bem_flags(p_inf)

@@ -13,7 +13,7 @@ to the fitted model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,22 +26,17 @@ from .model import BinaryMatrix, CovariateTable
 class InfluenceReport:
     """Scores I(j) for every column and the induced ranking.
 
-    ranking is a permutation of 1..m sorting scores in decreasing
-    order; exact ties are broken by ascending column index.
+    ranking is derived from scores at construction: the permutation of
+    1..m that sorts scores in decreasing order, exact ties broken by
+    ascending column index.
     """
 
     scores: np.ndarray
-    ranking: np.ndarray
+    ranking: np.ndarray = field(init=False)
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=float)
-        ranking = np.array(self.ranking, dtype=np.int64)
-        if scores.ndim != 1 or ranking.shape != scores.shape:
-            raise ParamValidationError("scores and ranking must be 1-D of equal length")
-        m = scores.size
-        expected = np.lexsort((np.arange(m), -scores)) + 1
-        if not np.array_equal(ranking, expected):
-            raise ParamValidationError("ranking does not sort scores descending")
+        ranking = np.lexsort((np.arange(scores.size), -scores)) + 1
         scores.setflags(write=False)
         ranking.setflags(write=False)
         object.__setattr__(self, "scores", scores)
@@ -66,5 +61,4 @@ def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> Infl
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
     scores = logrho[w0] + np.sum(x.values * eta[:, w0] - sp[:, w0], axis=0)
-    ranking = np.lexsort((np.arange(scores.size), -scores)) + 1
-    return InfluenceReport(scores=scores, ranking=ranking)
+    return InfluenceReport(scores=scores)

@@ -34,11 +34,11 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 
 class _Value:
-    """Base of the value types: they pickle through their constructor, which
-    validates and freezes the arrays again (plain pickle leaves them writable)."""
+    """Base of the value types: they pickle through their init fields, so the
+    constructor validates, derives and freezes again (plain pickle would not)."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)

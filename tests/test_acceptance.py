@@ -199,7 +199,6 @@ def test_criterion_8_influence(report):
         free_energy_trace=[-1.0],
         converged=True,
         n_iters=1,
-        map_labels=labels,
     )
     rep = cb.influence_report(x, y, res)
     ranks_ok = list(rep.ranking) == [1, 2] and rep.scores[0] > rep.scores[1]

@@ -1,6 +1,7 @@
 """Command-line driver: file plumbing, determinism, error reporting."""
 
 import csv
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -149,6 +150,43 @@ class TestInfluence:
         assert scores == sorted(scores, reverse=True)
 
 
+class TestManifest:
+    def test_layout_of_every_command(self, dataset, tmp_path):
+        # "command", "version", the echoed arguments, "config" (not for
+        # simulate), then the results, in that order
+        data = {"x": str(dataset["x"]), "y": str(dataset["y"])}
+        fitted = asdict(cb.BemConfig(n_restarts=1, seed=3))
+        cases = [
+            (None, {"params": str(dataset["params"]), "n": 60, "m": 16, "seed": 5}, None, []),
+            (["fit", "--g", "2", "--d", "2"], {**data, "g": 2, "d": 2}, fitted,
+             ["converged", "n_iters", "free_energy"]),
+            (["select", "--g-range", "1:2", "--d-range", "2:2"],
+             {**data, "g_range": "1:2", "d_range": "2:2"}, fitted,
+             ["best_g", "best_d", "best_bic", "failures"]),
+            (["influence", "--g", "2", "--d", "2"], {**data, "g": 2, "d": 2}, fitted,
+             ["top_column"]),
+            (["benchmark", "--n-list", "30", "--m", "8", "--d-list", "2", "--max-iters", "2"],
+             {"n_list": "30", "m": 8, "g": 2, "d_list": "2", "reps": 1},
+             asdict(cb.BemConfig(max_outer_iters=2, free_energy_rel_tol=0.0, n_restarts=1,
+                                 seed=3, split_merge_rounds=0)),
+             []),
+        ]
+        for argv, echoed, config, results in cases:
+            if argv is None:
+                command, out = "simulate", dataset["dir"]
+            else:
+                command, out = argv[0], tmp_path / argv[0]
+                if command != "benchmark":
+                    argv = argv + ["--x", data["x"], "--y", data["y"]]
+                assert main(argv + ["--restarts", "1", "--seed", "3", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            config_key = [] if config is None else ["config"]
+            assert list(manifest) == ["command", "version", *echoed, *config_key, *results]
+            assert (manifest["command"], manifest["version"]) == (command, cb.__version__)
+            assert {key: manifest[key] for key in echoed} == echoed, command
+            assert manifest.get("config") == config, command
+
+
 class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main([
@@ -230,6 +268,11 @@ class TestErrors:
                 ("--restarts", "0"), ("--max-iters", "0"), ("--tol", "-1"), ("--tol", "nan")
             )
         ]
+        + [
+            (command, flag, value)
+            for command in ("fit", "influence")
+            for flag, value in (("--g", "0"), ("--d", "0"), ("--d", "-1"))
+        ]
         + [("benchmark", flag, "0") for flag in ("--restarts", "--max-iters", "--reps")]
         + [
             (command, "--seed", "-1")
@@ -277,6 +320,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: row_props sums to") and err.count("\n") == 1
         assert not (out / "x.csv").exists()
+
+    @pytest.mark.parametrize("ranges, message", [
+        (["--g-range", "2-3", "--d-range", "1:1"], "range '2-3' is not of the form A:B"),
+        (["--g-range", "1:1", "--d-range", "1:x"], "range '1:x' has non-integer endpoints"),
+        (["--g-range", "0:2", "--d-range", "1:1"], "range '0:2' must satisfy 1 <= A <= B"),
+    ], ids=["form", "endpoints", "order"])
+    def test_bad_range_fails_before_any_file(self, tmp_path, capsys, ranges, message):
+        # the input files do not exist: the range must be named first
+        out = tmp_path / "out"
+        rc = main([
+            "select", "--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope2.csv"),
+            *ranges, "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,1\n")

@@ -61,7 +61,6 @@ def manual_fit_result(params, z, w):
         free_energy_trace=np.array([-1.0]),
         converged=True,
         n_iters=1,
-        map_labels=HardLabels(z, w),
     )
 
 

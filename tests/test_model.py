@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit as logistic
 
-from coblock.bem import FitResult, map_labels
+from coblock.bem import FitResult
 from coblock.errors import NotPositiveDefinite, ParamValidationError
 from coblock.model import (
     BinaryMatrix,
@@ -282,7 +282,7 @@ class TestAssignmentsAndLabels:
 def _fit_result():
     rng = np.random.default_rng(5)
     soft = SoftAssignments(rng.dirichlet(np.ones(2), size=4), rng.dirichlet(np.ones(2), size=3))
-    return FitResult(rand_params(rng, 2, 2, 1), soft, [-3.0, -2.5], True, 1, map_labels(soft))
+    return FitResult(rand_params(rng, 2, 2, 1), soft, [-3.0, -2.5], True, 1)
 
 
 def _table_with_pairs():
