@@ -1,9 +1,8 @@
 """How often BIC grid search recovers the generating model size.
 
 Simulates from a separated (2, 3) truth and tallies the selected (g, d)
-over seeded runs. Selection uses the default once-per-row covariate
-weighting, so the Gaussian part cannot swamp the penalty on the binary
-part.
+over seeded runs. The covariate density is counted once per row, so the
+Gaussian part cannot swamp the penalty on the binary part.
 
 Usage:
     python3 scripts/selection_study.py --runs 20

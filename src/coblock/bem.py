@@ -51,7 +51,6 @@ from .model import (
     SoftAssignments,
     _pair_products,
     _Value,
-    covariate_density_weight,
     gaussian_cluster_logpdfs,
 )
 
@@ -70,11 +69,10 @@ _MIN_CLUSTER_MASS = 1e-6
 class BemConfig:
     """Settings of the fitting loop; the defaults are the ones the tests validate.
 
-    init_strategy has one value, "kmeans_like": each restart starts from
-    k-means++-seeded Lloyd runs on the rows, then the columns. cov_weight
-    selects the exponent convention for the covariate density in the free
-    energy and row E-step: "1" counts it once per row, "m" once per cell (so
-    a row's Gaussian term carries weight m). split_merge_rounds caps the
+    init_strategy and cov_weight have one value each. "kmeans_like": each
+    restart starts from k-means++-seeded Lloyd runs on the rows, then the
+    columns. "1": the free energy and row E-step count a row's covariate
+    density once, as the model draws it. split_merge_rounds caps the
     rounds of merge-and-split refinement that fit runs after the restarts
     (see _merge_split_candidates); it targets optima where one true column
     cluster is fitted twice while two others share a cluster, and a round
@@ -102,9 +100,11 @@ class BemConfig:
             raise ValueError("split_merge_rounds and seed must be >= 0")
         if not self.free_energy_rel_tol >= 0:  # NaN fails too
             raise ValueError("free_energy_rel_tol must be >= 0")
-        if self.init_strategy != "kmeans_like":
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
-        covariate_density_weight(self.cov_weight, 1)  # raises on an unknown weight
+        if (self.init_strategy, self.cov_weight) != ("kmeans_like", "1"):
+            raise ValueError(
+                f"init_strategy must be 'kmeans_like' and cov_weight '1', "
+                f"got {self.init_strategy!r} and {self.cov_weight!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,20 +221,19 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def row_e_step(cols: ColStats, terms: ParamTerms, cov_weight: str) -> np.ndarray:
+def row_e_step(cols: ColStats, terms: ParamTerms) -> np.ndarray:
     """Posterior over row clusters given the column posterior and params.
 
     log t_ik, up to the per-row normalizer, is
-        log pi_k + W log phi(y_i; mu_k, Sigma_k)
+        log pi_k + log phi(y_i; mu_k, Sigma_k)
         + sum_l [ (x r)_il eta_ikl - r_.l softplus(eta_ikl) ]
-    with W the covariate weight of cov_weight. Normalization is done by
-    log-sum-exp so nothing underflows.
+    with the covariate density counted once per row. Normalization is
+    done by log-sum-exp so nothing underflows.
     """
     bern = np.einsum("il,ikl->ik", cols.xr, terms.eta) - terms.softplus @ cols.mass
-    w = covariate_density_weight(cov_weight, cols.x.m)
     with np.errstate(divide="ignore"):
         logpi = np.log(terms.params.row_props)
-    return _softmax_rows(logpi[None, :] + w * terms.logphi + bern)
+    return _softmax_rows(logpi[None, :] + terms.logphi + bern)
 
 
 def _col_logits(xv: np.ndarray, t, eta, sp, col_props) -> np.ndarray:
@@ -484,20 +483,19 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init):
     return coefs.reshape(g, d, q), clamped.reshape(g, d)
 
 
-def free_energy(t, cols: ColStats, terms: ParamTerms, cov_weight: str) -> float:
+def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:
     """Variational lower bound on the log-likelihood at (t, cols.r, terms.params).
 
     Sum of the expected complete-data log-likelihood under the
     factorized posterior (mixing proportions, Bernoulli cells, covariate
-    density with weight W) and the entropies of t and r; 0 log 0 is 0.
+    density once per row) and the entropies of t and r; 0 log 0 is 0.
     """
     t = np.asarray(t, dtype=float)
     eta, sp, params = terms.eta, terms.softplus, terms.params
     bern = float(np.einsum("ik,il,ikl->", t, cols.xr, eta)) - float(
         np.einsum("ik,ikl,l->", t, sp, cols.mass)
     )
-    w = covariate_density_weight(cov_weight, cols.x.m)
-    gauss = w * float(np.einsum("ik,ik->", t, terms.logphi))
+    gauss = float(np.einsum("ik,ik->", t, terms.logphi))
     mix = float(xlogy(t.sum(axis=0), params.row_props).sum()) + float(
         xlogy(cols.mass, params.col_props).sum()
     )
@@ -590,28 +588,27 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
     coefs, _ = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)))
     params = ModelParams(_proportions(t), _proportions(cols.r), coefs, means, covs)
     terms = ParamTerms.of(y, params)
-    w = cfg.cov_weight
-    trace = [free_energy(t, cols, terms, w)]
+    trace = [free_energy(t, cols, terms)]
     converged = False
     n_iters = 0
     for _ in range(cfg.max_outer_iters):
-        t = row_e_step(cols, terms, w)
-        trace.append(free_energy(t, cols, terms, w))
+        t = row_e_step(cols, terms)
+        trace.append(free_energy(t, cols, terms))
 
         means, covs = m_step_gaussian(t, y)
         coefs, _ = m_step_beta(y, t, cols, params.coefs)
         params = ModelParams(_proportions(t), params.col_props, coefs, means, covs)
         terms = ParamTerms.of(y, params)
-        trace.append(free_energy(t, cols, terms, w))
+        trace.append(free_energy(t, cols, terms))
 
         cols = ColStats.of(x, col_e_step(x, t, terms))
-        trace.append(free_energy(t, cols, terms, w))
+        trace.append(free_energy(t, cols, terms))
 
         coefs, _ = m_step_beta(y, t, cols, params.coefs)
         params = ModelParams(params.row_props, _proportions(cols.r), coefs, means, covs)
         # same means and covariances: only eta and its softplus change
         terms = ParamTerms.of(y, params, terms.logphi)
-        trace.append(free_energy(t, cols, terms, w))
+        trace.append(free_energy(t, cols, terms))
 
         n_iters += 1
         tol = cfg.free_energy_rel_tol

@@ -78,25 +78,24 @@ def _parse_int_list(text: str):
     return values
 
 
+def _add_fit_flags(sub, restarts: int, max_iters: int) -> None:
+    """--seed, --restarts and --max-iters, for every command that fits."""
+    sub.add_argument(
+        "--seed", type=int, default=BemConfig().seed, help="random seed (default %(default)s)"
+    )
+    sub.add_argument("--restarts", type=int, default=restarts, help="independent restarts")
+    sub.add_argument("--max-iters", type=int, default=max_iters, help="outer iteration cap")
+
+
 def _add_bem_flags(sub) -> None:
     """The data flags and fitting settings of fit, select and influence."""
     sub.add_argument("--x", required=True, help="binary matrix CSV")
     sub.add_argument("--y", required=True, help="covariate CSV")
     sub.add_argument("--out", required=True, help="output directory")
     cfg = BemConfig()  # the library's defaults are the CLI's
-    sub.add_argument("--seed", type=int, default=cfg.seed, help="random seed (default %(default)s)")
-    sub.add_argument("--restarts", type=int, default=cfg.n_restarts, help="independent restarts")
-    sub.add_argument(
-        "--max-iters", type=int, default=cfg.max_outer_iters, help="outer iteration cap"
-    )
+    _add_fit_flags(sub, cfg.n_restarts, cfg.max_outer_iters)
     sub.add_argument(
         "--tol", type=float, default=cfg.free_energy_rel_tol, help="relative free-energy tolerance"
-    )
-    sub.add_argument(
-        "--cov-weight",
-        choices=("m", "1"),
-        default=cfg.cov_weight,
-        help="covariate density weight: once per cell (m) or once per row (1); default %(default)s",
     )
 
 
@@ -116,13 +115,13 @@ def _check_counts(args) -> None:
         args.gs, args.ds = _parse_range(args.g_range), _parse_range(args.d_range)
 
 
-def _bem_config(args) -> BemConfig:
+def _bem_config(args, **fixed) -> BemConfig:
+    """The BemConfig of the fitting flags; fixed sets what the command has no
+    flag for (benchmark's tolerance and refinement)."""
+    if "tol" in args:
+        fixed["free_energy_rel_tol"] = args.tol
     return BemConfig(
-        max_outer_iters=args.max_iters,
-        free_energy_rel_tol=args.tol,
-        n_restarts=args.restarts,
-        seed=args.seed,
-        cov_weight=args.cov_weight,
+        max_outer_iters=args.max_iters, n_restarts=args.restarts, seed=args.seed, **fixed
     )
 
 
@@ -213,14 +212,7 @@ def _cmd_benchmark(args) -> int:
     # timing probe of the alternating loop itself: tol 0 runs every restart
     # for exactly --max-iters sweeps, and refinement refits would add a
     # data-dependent number of extra fits and muddy the n-scaling
-    cfg = BemConfig(
-        max_outer_iters=args.max_iters,
-        free_energy_rel_tol=0.0,
-        n_restarts=args.restarts,
-        seed=args.seed,
-        cov_weight=args.cov_weight,
-        split_merge_rounds=0,
-    )
+    cfg = _bem_config(args, free_energy_rel_tol=0.0, split_merge_rounds=0)
     rows = []
     draw = 0
     for d in d_values:
@@ -284,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--g", type=int, default=2, help="row clusters (default 2)")
     p_bench.add_argument("--d-list", default="2", help="comma-separated column-cluster counts")
     p_bench.add_argument("--reps", type=int, default=1, help="repetitions per grid point")
-    p_bench.add_argument("--seed", type=int, default=BemConfig().seed)
-    p_bench.add_argument("--restarts", type=int, default=1)
-    p_bench.add_argument("--max-iters", type=int, default=10)
-    p_bench.add_argument("--cov-weight", choices=("m", "1"), default=BemConfig().cov_weight)
+    _add_fit_flags(p_bench, restarts=1, max_iters=10)
     p_bench.set_defaults(handler=_cmd_benchmark)
 
     return parser

@@ -177,8 +177,12 @@ class ModelParams(_Value):
             raise ParamValidationError("coefs contain non-finite entries")
         if not np.all(np.isfinite(means)) or not np.all(np.isfinite(covs)):
             raise ParamValidationError("Gaussian parameters contain non-finite entries")
-        if p > 0 and np.max(np.abs(covs - np.transpose(covs, (0, 2, 1)))) > _SYMMETRY_TOL:
-            raise ParamValidationError("a covariance matrix is not symmetric")
+        # relative to each matrix's scale: an M-step's round-off grows with
+        # the entries, and at 1e6 one ulp already exceeds _SYMMETRY_TOL
+        if p > 0:
+            skew = np.abs(covs - np.transpose(covs, (0, 2, 1))).max(axis=(1, 2))
+            if np.any(skew > _SYMMETRY_TOL * np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))):
+                raise ParamValidationError("a covariance matrix is not symmetric")
 
         chols = _cholesky(covs)
         chols.setflags(write=False)
@@ -273,16 +277,3 @@ def gaussian_cluster_logpdfs(y: CovariateTable, params: ModelParams) -> np.ndarr
     """(n, g) matrix of log phi(y_i; mean_k, cov_k) using the cached factors."""
     return _gaussian_logpdfs(y.values, params.means, params.cov_chols)
 
-
-def covariate_density_weight(cov_weight: str, m: int) -> float:
-    """Exponent applied to the covariate density in the joint cell model.
-
-    "m": the Gaussian factor appears once per cell, i.e. with total weight
-    m per row.
-    "1": the Gaussian factor appears once per row (BemConfig's default).
-    """
-    if cov_weight == "m":
-        return float(m)
-    if cov_weight == "1":
-        return 1.0
-    raise ValueError(f"cov_weight must be 'm' or '1', got {cov_weight!r}")

@@ -91,18 +91,16 @@ def _predictors(y: CovariateTable, params: ModelParams):
     ]
 
 
-def mp_row_posteriors(x: BinaryMatrix, y: CovariateTable, r, params: ModelParams,
-                      cov_weight: str = "m") -> np.ndarray:
+def mp_row_posteriors(x: BinaryMatrix, y: CovariateTable, r, params: ModelParams) -> np.ndarray:
     """Row posteriors evaluated directly from the defining product."""
     eta = _predictors(y, params)
     r = np.asarray(r, dtype=float)
-    weight = mp.mpf(x.m if cov_weight == "m" else 1)
     out = np.empty((x.n, params.g))
     for i in range(x.n):
         logs = []
         for k in range(params.g):
             acc = mp.log(mp.mpf(float(params.row_props[k])))
-            acc += weight * mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k])
+            acc += mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k])
             for j in range(x.m):
                 for l in range(params.d):
                     acc += mp.mpf(float(r[j, l])) * mp_cell_loglik(x.values[i, j], eta[i][k][l])
@@ -131,13 +129,11 @@ def mp_col_posteriors(x: BinaryMatrix, y: CovariateTable, t, params: ModelParams
     return out
 
 
-def mp_exact_loglik(x: BinaryMatrix, y: CovariateTable, params: ModelParams,
-                    cov_weight: str = "m") -> float:
+def mp_exact_loglik(x: BinaryMatrix, y: CovariateTable, params: ModelParams) -> float:
     """log-likelihood by exhaustive enumeration of every (z, w) labeling."""
     eta = _predictors(y, params)
-    weight = mp.mpf(x.m if cov_weight == "m" else 1)
     gauss = [
-        [weight * mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k])
+        [mp_gauss_logpdf(y.values[i], params.means[k], params.covs[k])
          for k in range(params.g)]
         for i in range(x.n)
     ]

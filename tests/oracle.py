@@ -24,7 +24,6 @@ from coblock.model import (
     CovariateTable,
     HardLabels,
     ModelParams,
-    covariate_density_weight,
     gaussian_cluster_logpdfs,
 )
 
@@ -49,30 +48,22 @@ def _cell_logliks(x: BinaryMatrix, y: CovariateTable, params: ModelParams) -> np
     return x.values[:, :, None, None] * eta[:, None, :, :] - sp[:, None, :, :]
 
 
-def _row_base(y: CovariateTable, params: ModelParams, cov_weight: str, m: int) -> np.ndarray:
-    """B[i,k] = log pi_k + W log phi(y_i; mu_k, Sigma_k)."""
-    w = covariate_density_weight(cov_weight, m)
+def _row_base(y: CovariateTable, params: ModelParams) -> np.ndarray:
+    """B[i,k] = log pi_k + log phi(y_i; mu_k, Sigma_k)."""
     with np.errstate(divide="ignore"):
         logpi = np.log(params.row_props)
-    return logpi[None, :] + w * gaussian_cluster_logpdfs(y, params)
+    return logpi[None, :] + gaussian_cluster_logpdfs(y, params)
 
 
-def exact_loglik(
-    x: BinaryMatrix, y: CovariateTable, params: ModelParams, cov_weight: str = "m"
-) -> float:
-    """log p(x, y; params) summed over every labeling, via log-sum-exp.
-
-    cov_weight must match the convention used when computing free
-    energies that are compared against this value: "m" places the
-    covariate density once per cell (weight m per row), "1" once per
-    row.
-    """
+def exact_loglik(x: BinaryMatrix, y: CovariateTable, params: ModelParams) -> float:
+    """log p(x, y; params) summed over every labeling, via log-sum-exp,
+    with each row's covariate density counted once."""
     if x.n != y.n:
         raise LengthMismatch(f"x has {x.n} rows but y has {y.n}")
     n, m, g, d = x.n, x.m, params.g, params.d
     _check_size(n, m, g, d)
     cells = _cell_logliks(x, y, params)
-    base = _row_base(y, params, cov_weight, m)
+    base = _row_base(y, params)
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
 
@@ -85,9 +76,7 @@ def exact_loglik(
     return float(logsumexp(totals))
 
 
-def exact_posterior_mode(
-    x: BinaryMatrix, y: CovariateTable, params: ModelParams, cov_weight: str = "m"
-) -> HardLabels:
+def exact_posterior_mode(x: BinaryMatrix, y: CovariateTable, params: ModelParams) -> HardLabels:
     """The labeling (z, w) maximizing the complete-data likelihood.
 
     Equivalently the mode of the exact joint posterior over labels. Ties
@@ -100,7 +89,7 @@ def exact_posterior_mode(
     n, m, g, d = x.n, x.m, params.g, params.d
     _check_size(n, m, g, d)
     cells = _cell_logliks(x, y, params)
-    base = _row_base(y, params, cov_weight, m)
+    base = _row_base(y, params)
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
 

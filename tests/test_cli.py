@@ -51,8 +51,12 @@ class TestDefaults:
         assert asdict(cfg) == asdict(cb.BemConfig())
 
     def test_benchmark_shares_seed_and_weight(self):
+        # benchmark keeps its own restarts and sweeps; seed and weight are the library's
         args = cli.build_parser().parse_args(["benchmark", "--n-list", "10", "--out", "out"])
-        assert (args.seed, args.cov_weight) == (cb.BemConfig().seed, cb.BemConfig().cov_weight)
+        cfg = cli._bem_config(args, free_energy_rel_tol=0.0, split_merge_rounds=0)
+        assert asdict(cfg) == asdict(cb.BemConfig(
+            max_outer_iters=10, free_energy_rel_tol=0.0, n_restarts=1, split_merge_rounds=0
+        ))
 
 
 class TestSimulate:
@@ -119,7 +123,7 @@ class TestSelect:
         rc = main([
             "select", "--x", str(dataset["x"]), "--y", str(dataset["y"]),
             "--g-range", "1:2", "--d-range", "1:2", "--out", str(out),
-            "--restarts", "2", "--seed", "3", "--cov-weight", "1",
+            "--restarts", "2", "--seed", "3",
         ])
         assert rc == 0
         with open(out / "bic_grid.csv") as fh:
@@ -197,6 +201,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_cov_weight_is_not_a_flag(self, tmp_path, capsys):
+        # the covariate density is counted once per row; there is no other reading
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--x", "x.csv", "--y", "y.csv", "--g", "1", "--d", "1",
+                "--out", str(tmp_path / "out"), "--cov-weight", "1",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cov-weight 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("under_file", [False, True])
     def test_out_dir_that_cannot_be_made(

@@ -240,6 +240,19 @@ class TestModelParams:
         with pytest.raises(ParamValidationError):
             ModelParams(**bad)
 
+    def test_symmetry_tolerance_scales_with_the_entries(self):
+        # one ulp of round-off between the off-diagonals of a covariance
+        # with entries near 1e6 is about 6e-11: symmetric up to round-off
+        params = self._valid()
+        params["coefs"] = np.zeros((2, 1, 3))
+        params["means"] = np.zeros((2, 2))
+        off = 5e5
+        params["covs"] = np.array([[[1e6, off], [np.nextafter(off, np.inf), 1e6]]] * 2)
+        ModelParams(**params)
+        params["covs"] = np.array([[[1e6, 1.0], [0.0, 1e6]]] * 2)
+        with pytest.raises(ParamValidationError, match="not symmetric"):
+            ModelParams(**params)
+
     def test_cov_must_be_positive_definite(self):
         bad = self._valid()
         bad["covs"] = np.array([[[1.0]], [[0.0]]])

@@ -30,8 +30,7 @@ def swap_symmetric_params():
 
 
 class TestExactLoglik:
-    @pytest.mark.parametrize("weight", ["m", "1"])
-    def test_one_block_closed_form(self, weight):
+    def test_one_block_closed_form(self):
         rng = np.random.default_rng(0)
         x, y = rand_instance(rng, 4, 3, 1)
         params = rand_params(rng, 1, 1, 1)
@@ -43,18 +42,15 @@ class TestExactLoglik:
             float(mp_gauss_logpdf(y.values[i], params.means[0], params.covs[0]))
             for i in range(4)
         )
-        scale = x.m if weight == "m" else 1.0
-        want = bern + scale * gauss
-        assert exact_loglik(x, y, params, cov_weight=weight) == pytest.approx(want, abs=1e-10)
+        assert exact_loglik(x, y, params) == pytest.approx(bern + gauss, abs=1e-10)
 
-    @pytest.mark.parametrize("weight", ["m", "1"])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_high_precision_enumeration(self, weight, seed):
+    def test_matches_high_precision_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         x, y = rand_instance(rng, 3, 3, 1)
         params = rand_params(rng, 2, 2, 1)
-        got = exact_loglik(x, y, params, cov_weight=weight)
-        want = mp_exact_loglik(x, y, params, cov_weight=weight)
+        got = exact_loglik(x, y, params)
+        want = mp_exact_loglik(x, y, params)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_collapsed_eight_term_sum(self):
@@ -68,7 +64,7 @@ class TestExactLoglik:
             acc = 0.0
             for i in range(2):
                 acc += np.log(params.row_props[z[i]])
-                acc += 2 * float(
+                acc += float(
                     mp_gauss_logpdf(y.values[i], params.means[z[i]], params.covs[z[i]])
                 )
             for j in range(2):
@@ -92,9 +88,9 @@ class TestExactLoglik:
         for _ in range(3):
             x, y = rand_instance(rng, 4, 4, 1)
             params = rand_params(rng, 2, 2, 1)
-            ll = exact_loglik(x, y, params, cov_weight="m")
+            ll = exact_loglik(x, y, params)
             t, r = rand_soft(rng, 4, 2), rand_soft(rng, 4, 2)
-            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params), "m")
+            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
             assert fe <= ll + 1e-9
 
     def test_cluster_relabeling_invariance(self):

@@ -89,8 +89,8 @@ class TestSelect:
         return cb.generate(cb.SimConfig(n=60, m=16, params=params, seed=3))
 
     def test_one_block_data_selects_smallest_model(self):
-        # the default weight "1" keeps the Gaussian term counted once per
-        # row, so an extra row cluster cannot pay its penalty on one-block data
+        # the Gaussian term is counted once per row, so an extra row
+        # cluster cannot pay its penalty on one-block data
         sim = self.one_block_data()
         cfg = BemConfig(n_restarts=2, seed=4)
         grid = select(sim.x, sim.y, [1, 2], [1, 2], cfg)
