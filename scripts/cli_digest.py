@@ -18,6 +18,10 @@ equal. Copy this script into each checkout's scripts/ directory, run it
 there and diff the two files:
 
     python3 scripts/cli_digest.py digests.txt
+
+--keep DIR also copies the whole output tree to DIR (which must not
+exist yet), so two trees can be compared file by file with
+scripts/cli_diff.py when the digests differ.
 """
 
 import os
@@ -30,6 +34,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -86,7 +91,12 @@ def digests(root: Path):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="file to write the digests to")
-    out = parser.parse_args().out.resolve()
+    parser.add_argument("--keep", type=Path, help="directory to copy the output tree to")
+    args = parser.parse_args()
+    out = args.out.resolve()
+    keep = args.keep.resolve() if args.keep else None
+    if keep is not None and keep.exists():
+        parser.error(f"--keep {keep} already exists")
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -106,6 +116,8 @@ def main() -> int:
                     print(f"coblock {' '.join(argv)} exited {code}", file=sys.stderr)
                     return 1
             lines = [f"{digest}  {path}\n" for digest, path in digests(Path(tmp))]
+            if keep is not None:
+                shutil.copytree(tmp, keep)
         finally:
             os.chdir(here)
     out.write_text("".join(lines))

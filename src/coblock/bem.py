@@ -16,17 +16,17 @@ The per-block logistic fits are damped Newton-Raphson solves of a
 weighted binomial log-likelihood, run for all g*d blocks at once as one
 stack in which each block keeps its own stopping and step rules; linear
 predictors are kept inside a box so complete separation cannot push
-coefficients to infinity. The objective, gradient and Hessian kernels
-take a leading block axis; the public weighted_logistic_* run them on one.
-The Hessians of a fit read the pair products of the covariate columns,
-which are built once per CovariateTable.
+coefficients to infinity. The kernels take a leading block axis; the
+public weighted_logistic_* run them on one. One exponential per
+predictor, exp(-|eta|), gives both the sigmoid and the softplus.
 
-Derived terms are built once per change and handed to the sub-steps
-that read them, as immutable values local to one fit. A ParamTerms per
-parameter set holds eta, its softplus and the Gaussian log-densities;
-the column M-step changes neither means nor covariances, so its
-ParamTerms reuses the log-densities of the row M-step's. A ColStats per
-column posterior r holds x @ r and the column masses.
+Derived terms are built once per change and handed on, as immutable
+values local to one fit. A ParamTerms per parameter set holds eta, its
+exponential and softplus, taken from the stack's accepted predictors,
+and the Gaussian log-densities, which the column M-step reuses. A
+ColStats per column posterior r holds x @ r and the column masses. Each
+E-step returns the free energy at its posterior from its softmax
+normalizers, so free_energy runs after the two M-steps of a sweep only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import xlogy
 
 from .errors import (
     AllRestartsFailed,
@@ -63,6 +63,7 @@ _NR_GRAD_TOL = 1e-8
 _PREDICTOR_BOUND = 30.0
 _RIDGE = 1e-8
 _MIN_CLUSTER_MASS = 1e-6
+_ROUND_OFF_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,29 @@ def map_labels(assignments: SoftAssignments) -> HardLabels:
     )
 
 
-def _softplus(eta: np.ndarray) -> np.ndarray:
-    """log(1 + e^eta) by the formula of numpy's logaddexp(0, eta), from
-    vectorized exp and log1p: within an ulp of it and several times faster."""
-    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+def _predictors(coefs: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
+    """eta[..., i] = sum_a coefs[..., a] cols[a, i] for cols = y_aug.T, summed
+    term by term: a block's eta has the same bits however many blocks are
+    computed together, which a BLAS product's last bits do not."""
+    eta = np.multiply(coefs[..., 0, None], cols[0], out=out)
+    for a in range(1, cols.shape[0]):
+        eta += coefs[..., a, None] * cols[a]
+    return eta
 
 
-def _block_predictors(y_aug: np.ndarray, coefs: np.ndarray):
-    """eta[i,k,l] = y_aug_i . coefs[k,l] and its softplus, shapes (n,g,d)."""
-    eta = np.tensordot(y_aug, coefs, axes=([1], [2]))
-    return eta, _softplus(eta)
+def _exp_softplus(eta: np.ndarray, out=None) -> np.ndarray:
+    """(e, softplus) on a leading axis: e = exp(-|eta|) and log(1 + e^eta) =
+    max(eta, 0) + log1p(e). _sigmoid takes the same e."""
+    out = np.empty((2,) + eta.shape) if out is None else out
+    np.exp(-np.abs(eta), out=out[0])
+    np.add(np.maximum(eta, 0.0), np.log1p(out[0]), out=out[1])
+    return out
+
+
+def _sigmoid(eta: np.ndarray, e: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + e^-eta) as where(eta >= 0, 1, e) / (1 + e), its numerator
+    taken as max(e, eta >= 0): np.where is several times slower."""
+    return np.divide(np.maximum(e, eta >= 0), 1.0 + e, out=out)
 
 
 def _read_only(*arrays):
@@ -174,20 +188,24 @@ def _read_only(*arrays):
 
 @dataclass(frozen=True)
 class ParamTerms:
-    """A parameter set with its linear predictors eta (n,g,d), their
-    softplus and the (n,g) Gaussian log-densities of the covariates."""
+    """A parameter set with its predictors eta[k,l,i] = y_aug_i . coefs[k,l]
+    (g,d,n), exp_neg = exp(-|eta|), softplus (from m_step_beta in a fit, with
+    the bits of() computes) and the (n,g) Gaussian log-densities."""
 
     params: ModelParams
     eta: np.ndarray
+    exp_neg: np.ndarray
     softplus: np.ndarray
     logphi: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.eta, self.exp_neg, self.softplus, self.logphi)
 
     @classmethod
     def of(cls, y: CovariateTable, params: ModelParams, logphi=None) -> ParamTerms:
         """The terms of params, reusing logphi if given (params' own densities)."""
-        eta, sp = _block_predictors(y.augmented, params.coefs)
         logphi = gaussian_cluster_logpdfs(y, params) if logphi is None else logphi
-        return cls(params, *_read_only(eta, sp, logphi))
+        return cls(params, *_logistic(params.coefs, y.augmented), logphi)
 
 
 @dataclass(frozen=True)
@@ -206,7 +224,8 @@ class ColStats:
         return cls(x, *_read_only(r, x.values @ r, r.sum(axis=0)))
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def _softmax_rows(logits: np.ndarray):
+    """Row-wise softmax of logits, and sum_i log sum_k exp(logits_ik)."""
     # the row normalizer is scipy.special.logsumexp's, step for step (the
     # row maxima are left out of the sum and added back through log1p),
     # without its per-call overhead, which dominated on small inputs
@@ -214,46 +233,52 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     at_top = logits == top
     ties = at_top.sum(axis=1, keepdims=True, dtype=float)
     rest = np.exp(np.where(at_top, -np.inf, logits - top)).sum(axis=1, keepdims=True) / ties
-    probs = np.exp(logits - (np.log1p(rest) + np.log(ties) + top))
+    lognorm = np.log1p(rest) + np.log(ties) + top
+    probs = np.exp(logits - lognorm)
     # flush vanishing mass to exact zero: a subnormal residue here would
     # make the matching proportion underflow to 0 and 0*log 0 to -inf
     probs[probs < 1e-300] = 0.0
-    return probs
+    return probs, float(lognorm.sum())
 
 
-def row_e_step(cols: ColStats, terms: ParamTerms) -> np.ndarray:
-    """Posterior over row clusters given the column posterior and params.
-
-    log t_ik, up to the per-row normalizer, is
-        log pi_k + log phi(y_i; mu_k, Sigma_k)
-        + sum_l [ (x r)_il eta_ikl - r_.l softplus(eta_ikl) ]
-    with the covariate density counted once per row. Normalization is
-    done by log-sum-exp so nothing underflows.
-    """
-    bern = np.einsum("il,ikl->ik", cols.xr, terms.eta) - terms.softplus @ cols.mass
+def row_e_step(cols: ColStats, terms: ParamTerms):
+    """Posterior t over row clusters given the column posterior and params,
+    and the free energy F at t: returns (t, F). log t_ik is, up to the
+    per-row normalizer (log-sum-exp, so nothing underflows),
+        a_ik = log pi_k + log phi(y_i; mu_k, Sigma_k)
+               + sum_l [ (x r)_il eta_kli - r_.l softplus(eta_kli) ]
+    with the covariate density counted once per row, and
+    F = sum_i logsumexp_k a_ik + sum_l r_.l log rho_l - sum r log r."""
+    bern = ((terms.eta * cols.xr.T).sum(axis=1) - cols.mass @ terms.softplus).T
     with np.errstate(divide="ignore"):
         logpi = np.log(terms.params.row_props)
-    return _softmax_rows(logpi[None, :] + terms.logphi + bern)
+    t, lognorm = _softmax_rows(logpi[None, :] + terms.logphi + bern)
+    return t, lognorm + _col_terms(cols, terms.params)
+
+
+def _row_sums(t, eta, sp):
+    """lin[l, i] = sum_k t_ik eta_kli (d, n) and base[l] = sum_ik t_ik sp_kli (d,)."""
+    return (t.T[:, None, :] * eta).sum(axis=0), (sp @ t.T[:, :, None]).sum(axis=0)[:, 0]
 
 
 def _col_logits(xv: np.ndarray, t, eta, sp, col_props) -> np.ndarray:
     """Unnormalized column log-posteriors, one row per column of xv:
-    log rho_l + sum_i x_ij sum_k t_ik eta_ikl - sum_ik t_ik softplus(eta_ikl)."""
-    lin = np.einsum("ik,ikl->il", t, eta)
-    base = np.einsum("ik,ikl->l", t, sp)
+    log rho_l + sum_i x_ij sum_k t_ik eta_kli - sum_ik t_ik softplus(eta_kli)."""
+    lin, base = _row_sums(t, eta, sp)
     with np.errstate(divide="ignore"):
-        return np.log(col_props)[None, :] + xv.T @ lin - base[None, :]
+        return np.log(col_props)[None, :] + (lin @ xv).T - base[None, :]
 
 
-def col_e_step(x: BinaryMatrix, t, terms: ParamTerms) -> np.ndarray:
-    """Posterior over column clusters given row posteriors t and params.
-
-    The covariate density cancels in the column posterior (it does not
-    involve w), so only the Bernoulli terms and log rho_l appear.
-    """
+def col_e_step(x: BinaryMatrix, t, terms: ParamTerms):
+    """Posterior r over column clusters given row posteriors t and params,
+    and the free energy F at r: returns (r, F). The covariate density
+    cancels in the column posterior, so only the Bernoulli terms and
+    log rho_l appear in its logits L_jl, and F = sum_j logsumexp_l L_jl +
+    sum_k t_.k log pi_k + sum t log phi - sum t log t."""
     t = np.asarray(t, dtype=float)
     logits = _col_logits(x.values, t, terms.eta, terms.softplus, terms.params.col_props)
-    return _softmax_rows(logits)
+    r, lognorm = _softmax_rows(logits)
+    return r, lognorm + _row_terms(t, terms)
 
 
 def _proportions(probs: np.ndarray) -> np.ndarray:
@@ -283,14 +308,16 @@ def m_step_gaussian(t, y: CovariateTable):
     return means, covs + _RIDGE * np.eye(y.p)[None, :, :]
 
 
-def _objective(eta, w, c, tm):
-    """Sum over the last axis of w * (c * eta - tm * softplus(eta)): one
-    value per block of a (..., n) stack; tm broadcasts against eta."""
-    return np.einsum("...n,...n->...", w, c * eta - tm * _softplus(eta))
+def _objective(b, u, w, sp, tm):
+    """Block objectives sum_n w * (c * eta - tm * softplus(eta)) of the rows
+    b (..., q), as u . b - tm * sum_n w * sp, from u = (w * c) @ y_aug and
+    the softplus sp of b's predictors; tm is (...,)."""
+    return np.einsum("...q,...q->...", u, b) - tm * np.einsum("...n,...n->...", w, sp)
 
 
 def _gradient(sig, y_aug, w, c, tm):
-    """Gradient of _objective in beta, from sig = expit(eta): (..., q)."""
+    """Gradient of _objective in beta from sig = sigmoid(eta), (..., q), in
+    residual form: u - (w * tm * sig) @ y_aug cancels on separated blocks."""
     return (w * (c - tm * sig)) @ y_aug
 
 
@@ -305,6 +332,13 @@ def _neg_hessian(sig, w, tm, pairs):
     return neg_hess
 
 
+def _logistic(beta, y_aug):
+    """eta = y_aug @ beta by _predictors, exp(-|eta|) and softplus, stacked."""
+    out = np.empty((3,) + beta.shape[:-1] + y_aug.shape[:1])
+    _exp_softplus(_predictors(beta, y_aug.T, out=out[0]), out=out[1:])
+    return out
+
+
 def weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_mass) -> float:
     """Weighted binomial log-likelihood of one block's logistic problem.
 
@@ -313,15 +347,18 @@ def weighted_logistic_objective(beta, y_aug, row_weights, success_counts, trial_
     problem row_weights are the row posteriors t_ik, success_counts_i is
     the r-weighted count of ones in row i, and trial_mass is r_.l.
     """
-    return float(_objective(y_aug @ beta, row_weights, success_counts, trial_mass))
+    u = (row_weights * success_counts) @ y_aug
+    return float(_objective(beta, u, row_weights, _logistic(beta, y_aug)[2], trial_mass))
 
 
 def weighted_logistic_gradient(beta, y_aug, row_weights, success_counts, trial_mass) -> np.ndarray:
-    return _gradient(expit(y_aug @ beta), y_aug, row_weights, success_counts, trial_mass)
+    eta, e, _ = _logistic(beta, y_aug)
+    return _gradient(_sigmoid(eta, e), y_aug, row_weights, success_counts, trial_mass)
 
 
 def weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_mass) -> np.ndarray:
-    return -_neg_hessian(expit(y_aug @ beta), row_weights, trial_mass, _pair_products(y_aug))
+    eta, e, _ = _logistic(beta, y_aug)
+    return -_neg_hessian(_sigmoid(eta, e), row_weights, trial_mass, _pair_products(y_aug))
 
 
 def _solve_boosted(neg_h, grad) -> np.ndarray:
@@ -358,109 +395,115 @@ def _solve_boosted(neg_h, grad) -> np.ndarray:
     return delta
 
 
-def _newton_stack(y: CovariateTable, weights, counts, mass, beta_init):
+def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
     """Damped Newton ascent of K independent block objectives at once.
 
-    Block b is row b of weights (K, n), counts (K, n), mass (K,) and
-    beta_init (K, q), over the predictors y.augmented (n, q); its
-    objective, gradient and Hessian come from the kernels behind
-    weighted_logistic_*, with one expit per iteration shared by the last
-    two. Each block follows its own rules: it stops once its gradient is
-    below _NR_GRAD_TOL times its Bernoulli mass, so the iteration count
-    does not grow with the data size; its step is scaled so every linear
-    predictor stays in [-_PREDICTOR_BOUND, _PREDICTOR_BOUND], then halved
-    until the objective does not decrease (at most 60 tries, and never
-    below a relative step of 1e-15); it stops when no direction, no room
-    in the box or no ascent is left. A stopped block leaves the active
-    set, so later iterations work on the others only. The predictors of
-    the accepted step are kept for the next iteration. Returns (beta,
-    clamped) where clamped marks blocks with a binding box.
+    Block b is row b of the weights data[0] and counts data[1] (K, n;
+    data[2] is room for the sigmoid), mass (K,), beta_init (K, q) and
+    predictors, the _logistic of beta_init as (3, K, n). Each accepted
+    candidate keeps its exponential, which gives the next sigmoid. A block
+    stops once its gradient is below _NR_GRAD_TOL times its Bernoulli
+    mass (so the iteration count does not grow with n). A full step that
+    would take a predictor out of [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is
+    cut to the box's edge; one that does not ascend is halved until the
+    objective does not decrease (at most 60 tries, never below a relative
+    step of 1e-15), unless its predicted gain step * grad . delta is
+    within _ROUND_OFF_ULPS ulps of the objective's terms: then the block
+    stops where it is, as without a direction or room in the box. The
+    blocks that stop in an iteration leave the active set together at the
+    start of the next. Returns (beta, clamped, final): clamped marks
+    binding boxes, and final (3, K, n) is the _logistic of beta.
     """
     y_aug, pairs = y.augmented, y._aug_pairs
+    q = y_aug.shape[1]
     beta = np.array(beta_init, dtype=float)
-    peak = np.zeros(beta.shape[0])
-    idx = np.arange(beta.shape[0])
-    b = beta.copy()
-    eta = b @ y_aug.T
-    w, c, tm = weights, counts, mass[:, None]
-    obj = _objective(eta, w, c, tm)
-    scale = 1.0 + tm[:, 0] * w.sum(axis=1)
+    # active state, so a retirement is three copies: pred (their _logistic;
+    # final itself until a step or retirement), data, and blk (A, 4 + 3q): the
+    # index, objective, mass, gradient scale, coefficients b, u and gradient
+    final = pred = np.array(predictors).reshape(3, beta.shape[0], -1)
+    u = (data[0] * data[1]) @ y_aug
+    blk = np.column_stack([np.arange(beta.shape[0]), _objective(beta, u, data[0], pred[2], mass),
+                           mass, 1.0 + mass * data[0].sum(axis=1), beta, u, np.zeros_like(beta)])
+    B, U, G = slice(4, 4 + q), slice(4 + q, 4 + 2 * q), slice(4 + 2 * q, None)
+    halted = np.zeros(beta.shape[0], dtype=bool)
 
-    def retire(keep, *extra):
+    def retire(keep):
         """Store the blocks not in keep and drop them from the active set."""
-        nonlocal idx, b, eta, obj, w, c, tm, scale
+        nonlocal pred, data, blk
         gone = ~keep
-        beta[idx[gone]] = b[gone]
-        peak[idx[gone]] = np.abs(eta[gone]).max(axis=1)
-        idx, b, eta, obj, w, c, tm, scale = (
-            a[keep] for a in (idx, b, eta, obj, w, c, tm, scale)
-        )
-        return [a[keep] for a in extra]
+        ids = blk[gone, 0].astype(np.intp)
+        beta[ids] = blk[gone, B]
+        final[:, ids] = pred[:, gone]
+        pred, data, blk = pred[:, keep], data[:, keep], blk[keep]
 
     for _ in range(_NR_MAX_ITERS):
-        if not idx.size:
-            break
-        sig = expit(eta)
-        grad = _gradient(sig, y_aug, w, c, tm)
-        live = np.max(np.abs(grad), axis=1) >= _NR_GRAD_TOL * scale
-        if not live.all():
-            sig, grad = retire(live, sig, grad)
-            if not idx.size:
+        _sigmoid(pred[0], pred[1], out=data[2])
+        blk[:, G] = _gradient(data[2], y_aug, data[0], data[1], blk[:, 2:3])
+        keep = ~halted & (np.max(np.abs(blk[:, G]), axis=1) >= _NR_GRAD_TOL * blk[:, 3])
+        if not keep.all():
+            retire(keep)
+            if not blk.shape[0]:
                 break
-        delta = _solve_boosted(_neg_hessian(sig, w, tm, pairs), grad)
-        solved = np.all(np.isfinite(delta), axis=1)
-        if not solved.all():
-            (delta,) = retire(solved, delta)
-            if not idx.size:
-                break
-        # largest step that keeps every predictor inside the box
-        deta = delta @ y_aug.T
-        caps = np.divide(
-            _PREDICTOR_BOUND - np.sign(deta) * eta,
-            np.abs(deta),
-            out=np.full(deta.shape, np.inf),
-            where=deta != 0,
-        )
-        step = np.minimum(1.0, caps.min(axis=1))
-        room = step > 0.0
-        if not room.all():
-            delta, step = retire(room, delta, step)
-            if not idx.size:
-                break
-        cand = b + step[:, None] * delta
-        cand_eta = cand @ y_aug.T
-        cand_obj = _objective(cand_eta, w, c, tm)
+        eta, (w, c, sig) = pred[0], data
+        obj, tm, b, u, grad = blk[:, 1], blk[:, 2], blk[:, B], blk[:, U], blk[:, G]
+        delta = _solve_boosted(_neg_hessian(sig, w, tm[:, None], pairs), grad)
+        # no direction: a zero step keeps the block in place until it retires
+        halted = ~np.all(np.isfinite(delta), axis=1)
+        delta[halted] = 0.0
+        cand = b + delta
+        cand_pred = _logistic(cand, y_aug)
+        step = np.ones(b.shape[0])
+        reach = np.maximum(cand_pred[0].max(axis=1), -cand_pred[0].min(axis=1))
+        leave = np.flatnonzero(reach > _PREDICTOR_BOUND)
+        if leave.size:
+            # largest step that keeps every predictor inside the box (0: none)
+            deta = _predictors(delta[leave], y_aug.T)
+            caps = np.divide(_PREDICTOR_BOUND - np.sign(deta) * eta[leave], np.abs(deta),
+                             out=np.full(deta.shape, np.inf), where=deta != 0)
+            step[leave] = np.maximum(np.minimum(1.0, caps.min(axis=1)), 0.0)
+            halted[leave[step[leave] == 0.0]] = True
+            cand[leave] = b[leave] + step[leave, None] * delta[leave]
+            cand_pred[:, leave] = _logistic(cand[leave], y_aug)
+        cand_obj = _objective(cand, u, w, cand_pred[2], tm)
         up = cand_obj >= obj
         if up.all():
-            b, eta, obj = cand, cand_eta, cand_obj
+            pred = cand_pred
+            b[...], obj[...] = cand, cand_obj
             continue
-        dmax = np.max(np.abs(delta), axis=1)
-        bref = 1.0 + np.max(np.abs(b), axis=1)
-        accepted = np.zeros(idx.size, dtype=bool)
-        trying = np.arange(idx.size)
-        for tries in range(1, 61):
-            hit = trying[up]
-            b[hit], eta[hit], obj[hit] = cand[up], cand_eta[up], cand_obj[up]
-            accepted[hit] = True
-            trying = trying[~up]
+        failed = np.flatnonzero(~up)
+        cand_pred[:, failed] = pred[:, failed]
+        pred = cand_pred
+        b[up], obj[up] = cand[up], cand_obj[up]
+        # a failed block stops unless a halved step ascends, and is not halved where
+        # the predicted gain is below the round-off of u.b - tm * sum w sp
+        halted[failed] = True
+        gain = step[failed] * np.einsum("kq,kq->k", grad[failed], delta[failed])
+        size = (np.abs(np.einsum("kq,kq->k", u[failed], b[failed]))
+                + tm[failed] * np.einsum("kn,kn->k", w[failed], pred[2, failed]))
+        trying = failed[gain > _ROUND_OFF_ULPS * np.finfo(float).eps * size]
+        dmax, bref = np.max(np.abs(delta), axis=1), 1.0 + np.max(np.abs(b), axis=1)
+        for _ in range(59):
             step[trying] *= 0.5
             trying = trying[step[trying] * dmax[trying] >= 1e-15 * bref[trying]]
-            if not trying.size or tries == 60:
+            if not trying.size:
                 break
             cand = b[trying] + step[trying, None] * delta[trying]
-            cand_eta = cand @ y_aug.T
-            cand_obj = _objective(cand_eta, w[trying], c[trying], tm[trying])
+            cand_pred = _logistic(cand, y_aug)
+            cand_obj = _objective(cand, u[trying], w[trying], cand_pred[2], tm[trying])
             up = cand_obj >= obj[trying]
-        if not accepted.all():
-            retire(accepted)
+            hit = trying[up]
+            pred[:, hit], b[hit], obj[hit] = cand_pred[:, up], cand[up], cand_obj[up]
+            halted[hit] = False
+            trying = trying[~up]
 
-    beta[idx] = b
-    peak[idx] = np.abs(eta).max(axis=1)
-    return beta, peak >= _PREDICTOR_BOUND - 1e-6
+    retire(np.zeros(blk.shape[0], dtype=bool))
+    return beta, np.abs(final[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6, final
 
 
-def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init):
-    """Per-block logistic coefficient updates, warm-started from beta_init.
+def m_step_beta(y: CovariateTable, t, cols: ColStats, start):
+    """Per-block logistic coefficient updates, warm-started from start: a
+    (g, d, p+1) coefficient array, or a ParamTerms whose coefficients and
+    predictors are used as they are.
 
     Blocks are independent: block (k,l) maximizes
         sum_i t_ik [ (x r)_il eta_i - r_.l softplus(eta_i) ].
@@ -468,19 +511,22 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, beta_init):
     (block (k,l) is row k*d + l), each block with its own stopping,
     box and step-halving rules. A column cluster with zero mass leaves
     its coefficients at the warm start (its objective is identically
-    zero).
-
-    Returns (coefs, clamped): the (g,d,p+1) array and a (g,d) boolean
-    array marking blocks where the separation guard was binding.
+    zero). Returns (coefs, clamped, predictors): the (g,d,p+1) array, a
+    (g,d) mask of binding separation guards, and the (3,g,d,n) _logistic
+    of coefs, as ParamTerms.of has it.
     """
     t = np.asarray(t, dtype=float)
-    beta_init = np.asarray(beta_init, dtype=float)
+    if isinstance(start, ParamTerms):
+        beta_init, predictors = start.params.coefs, (start.eta, start.exp_neg, start.softplus)
+    else:
+        beta_init = np.asarray(start, dtype=float)
+        predictors = _logistic(beta_init, y.augmented)
     g, d, q = beta_init.shape
-    coefs, clamped = _newton_stack(
-        y, np.repeat(t.T, d, axis=0), np.tile(cols.xr.T, (g, 1)), np.tile(cols.mass, g),
-        beta_init.reshape(g * d, q)
-    )
-    return coefs.reshape(g, d, q), clamped.reshape(g, d)
+    data = np.empty((3, g, d, y.n))
+    data[0], data[1] = t.T[:, None, :], cols.xr.T
+    coefs, clamped, final = _newton_stack(y, data.reshape(3, g * d, -1), np.tile(cols.mass, g),
+                                          beta_init.reshape(g * d, q), predictors)
+    return coefs.reshape(g, d, q), clamped.reshape(g, d), final.reshape(3, g, d, -1)
 
 
 def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:
@@ -491,16 +537,20 @@ def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:
     density once per row) and the entropies of t and r; 0 log 0 is 0.
     """
     t = np.asarray(t, dtype=float)
-    eta, sp, params = terms.eta, terms.softplus, terms.params
-    bern = float(np.einsum("ik,il,ikl->", t, cols.xr, eta)) - float(
-        np.einsum("ik,ikl,l->", t, sp, cols.mass)
-    )
-    gauss = float(np.einsum("ik,ik->", t, terms.logphi))
-    mix = float(xlogy(t.sum(axis=0), params.row_props).sum()) + float(
-        xlogy(cols.mass, params.col_props).sum()
-    )
-    entropy = -float(xlogy(t, t).sum()) - float(xlogy(cols.r, cols.r).sum())
-    return mix + bern + gauss + entropy
+    lin, base = _row_sums(t, terms.eta, terms.softplus)
+    bern = float(np.einsum("li,il->", lin, cols.xr)) - float(base @ cols.mass)
+    return _row_terms(t, terms) + bern + _col_terms(cols, terms.params)
+
+
+def _row_terms(t, terms: ParamTerms) -> float:
+    """The free energy's terms in t alone: t_.k log pi_k + t log phi - t log t."""
+    return (float(xlogy(t.sum(axis=0), terms.params.row_props).sum())
+            + float(np.einsum("ik,ik->", t, terms.logphi)) - float(xlogy(t, t).sum()))
+
+
+def _col_terms(cols: ColStats, params: ModelParams) -> float:
+    """The free energy's terms in r alone: sum_l r_.l log rho_l - sum r log r."""
+    return float(xlogy(cols.mass, params.col_props).sum()) - float(xlogy(cols.r, cols.r).sum())
 
 
 def _standardize(feats: np.ndarray) -> np.ndarray:
@@ -585,29 +635,30 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
     t, r = _init_assignments(x, y, g, d, rng) if init is None else init
     cols = ColStats.of(x, r)
     means, covs = m_step_gaussian(t, y)
-    coefs, _ = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)))
-    params = ModelParams(_proportions(t), _proportions(cols.r), coefs, means, covs)
-    terms = ParamTerms.of(y, params)
+    coefs, _, pred = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)))
+    params = ModelParams._adopt(_proportions(t), _proportions(cols.r), coefs, means, covs)
+    terms = ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
     trace = [free_energy(t, cols, terms)]
     converged = False
     n_iters = 0
     for _ in range(cfg.max_outer_iters):
-        t = row_e_step(cols, terms)
-        trace.append(free_energy(t, cols, terms))
+        t, f = row_e_step(cols, terms)
+        trace.append(f)
 
         means, covs = m_step_gaussian(t, y)
-        coefs, _ = m_step_beta(y, t, cols, params.coefs)
-        params = ModelParams(_proportions(t), params.col_props, coefs, means, covs)
-        terms = ParamTerms.of(y, params)
+        coefs, _, pred = m_step_beta(y, t, cols, terms)
+        params = ModelParams._adopt(_proportions(t), params.col_props, coefs, means, covs)
+        terms = ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
         trace.append(free_energy(t, cols, terms))
 
-        cols = ColStats.of(x, col_e_step(x, t, terms))
-        trace.append(free_energy(t, cols, terms))
+        r, f = col_e_step(x, t, terms)
+        cols = ColStats.of(x, r)
+        trace.append(f)
 
-        coefs, _ = m_step_beta(y, t, cols, params.coefs)
-        params = ModelParams(params.row_props, _proportions(cols.r), coefs, means, covs)
+        coefs, _, pred = m_step_beta(y, t, cols, terms)
+        params = ModelParams._adopt(params.row_props, _proportions(cols.r), coefs, means, covs)
         # same means and covariances: only eta and its softplus change
-        terms = ParamTerms.of(y, params, terms.logphi)
+        terms = ParamTerms(params, *pred, terms.logphi)
         trace.append(free_energy(t, cols, terms))
 
         n_iters += 1
@@ -659,7 +710,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     if d < 2 or x.m < 4:
         return []
     w = result.assignments.col_probs.argmax(axis=1)
-    eta, sp = _block_predictors(y.augmented, result.params.coefs)
+    eta, e, sp = _logistic(result.params.coefs, y.augmented)
     scores = _col_logits(x.values, t, eta, sp, result.params.col_props)
     moves = []
     for b in range(d):
@@ -680,7 +731,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     weighted_aug = (t[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
 
     def score_feats(xs, target):
-        sig = expit(aug @ result.params.coefs[:, target, :].T)
+        sig = _sigmoid(eta[:, target], e[:, target]).T
         fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
         return (xs.values.T @ weighted_aug) / fisher.reshape(-1)
 
@@ -691,8 +742,8 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
         r = _soft_from_hard(halves, 2)
         beta = np.zeros((g, 2, aug.shape[1]))
         for _ in range(3):
-            beta, _ = m_step_beta(y, t, ColStats.of(xs, r), beta)
-            r = _softmax_rows(_col_logits(xs.values, t, *_block_predictors(aug, beta), np.ones(2)))
+            beta, _, (beta_eta, _, beta_sp) = m_step_beta(y, t, ColStats.of(xs, r), beta)
+            r, _ = _softmax_rows(_col_logits(xs.values, t, beta_eta, beta_sp, np.ones(2)))
         return r.argmax(axis=1)
 
     candidates, labs = [], []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem import FitResult
+from .bem import FitResult, _exp_softplus
 from .errors import LengthMismatch, ParamValidationError
 from .model import BinaryMatrix, CovariateTable
 
@@ -57,8 +57,9 @@ def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> Infl
     w0 = labels.col_labels - 1
     # eta[i,l] = y_aug_i . beta_{z_i, l}, shape (n, d)
     eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
-    sp = np.logaddexp(0.0, eta)
+    _, sp = _exp_softplus(eta)
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props)
-    scores = logrho[w0] + np.sum(x.values * eta[:, w0] - sp[:, w0], axis=0)
-    return InfluenceReport(scores=scores)
+    # sum_i x_ij eta_{i,w_j} and sum_i softplus per cluster: no (n, m) temporaries
+    cross = (eta.T @ x.values)[w0, np.arange(x.m)]
+    return InfluenceReport(scores=logrho[w0] + cross - sp.sum(axis=0)[w0])

@@ -138,7 +138,8 @@ class ModelParams(_Value):
 
     The lower Cholesky factors of all covariances are computed in one
     call and cached at construction; since instances are immutable, any
-    "mutation" builds a new instance and re-validates.
+    "mutation" builds a new instance and re-validates (bem's M-steps skip
+    that by _adopt).
     """
 
     row_props: np.ndarray
@@ -146,6 +147,16 @@ class ModelParams(_Value):
     coefs: np.ndarray
     means: np.ndarray
     covs: np.ndarray
+
+    @classmethod
+    def _adopt(cls, row_props, col_props, coefs, means, covs) -> "ModelParams":
+        """Freeze float arrays known to be valid: no copy or check, only the Cholesky."""
+        obj = object.__new__(cls)
+        for name, arr in zip(("row_props", "col_props", "coefs", "means", "covs", "cov_chols"),
+                             (row_props, col_props, coefs, means, covs, _cholesky(covs))):
+            arr.setflags(write=False)
+            object.__setattr__(obj, name, arr)
+        return obj
 
     def __post_init__(self):
         pi = _frozen(self.row_props)

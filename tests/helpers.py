@@ -23,7 +23,9 @@ Second implementations that production is compared against, kept here
 because the package does not call them:
   - bernoulli_link_logpdf, the log-probability of one cell;
   - influence_score, the influence I(j) of one column, the reference
-    for coblock.influence.influence_report's vectorized scores;
+    for coblock.influence.influence_report's vectorized scores, and
+    influence_scores_dense, the (n, m) formula that report used before
+    it summed by column cluster;
   - log_posterior_y_rowform and its row_part, the fixed-label joint
     log-likelihood grouped by rows, which must equal row_part plus the
     sum of all influence scores.
@@ -173,6 +175,18 @@ def influence_score(
     with np.errstate(divide="ignore"):
         logrho = np.log(params.col_props[wj])
     return float(logrho + np.sum(xcol * eta - np.logaddexp(0.0, eta)))
+
+
+def influence_scores_dense(x: BinaryMatrix, y: CovariateTable, labels: HardLabels,
+                           params: ModelParams) -> np.ndarray:
+    """All m influence scores from the (n, m) matrix of cell terms
+    x_ij eta_{i,w_j} - logaddexp(0, eta_{i,w_j})."""
+    z0, w0 = labels.row_labels - 1, labels.col_labels - 1
+    eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
+    sp = np.logaddexp(0.0, eta)
+    with np.errstate(divide="ignore"):
+        logrho = np.log(params.col_props)
+    return logrho[w0] + np.sum(x.values * eta[:, w0] - sp[:, w0], axis=0)
 
 
 def row_part(y: CovariateTable, params: ModelParams, z0: np.ndarray) -> float:

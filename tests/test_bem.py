@@ -82,7 +82,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         r = hard_soft(rng.integers(0, 2, size=2), 2)
-        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        got, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
         want = mp_row_posteriors(x, y, r, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -92,7 +92,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         t = rand_soft(rng, 2, 2)
-        got = col_e_step(x, t, ParamTerms.of(y, params))
+        got, _ = col_e_step(x, t, ParamTerms.of(y, params))
         want = mp_col_posteriors(x, y, t, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -101,9 +101,81 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 3, 3, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 3, 2)
-        got = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        got, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
         want = mp_row_posteriors(x, y, r, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestEStepFreeEnergy:
+    """Each E-step returns the free energy at its new posterior, from its
+    softmax normalizers; it must be the value free_energy gives there."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_free_energy(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n, m = int(rng.integers(2, 30)), int(rng.integers(2, 15))
+        g, d, p = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        x, y = rand_instance(rng, n, m, p)
+        terms = ParamTerms.of(y, rand_params(rng, g, d, p, coef_scale=3.0))
+        cols = ColStats.of(x, rand_soft(rng, m, d))
+        t, f_row = row_e_step(cols, terms)
+        want = free_energy(t, cols, terms)
+        assert abs(f_row - want) <= 1e-12 * max(abs(want), 1.0)
+        t = rand_soft(rng, n, g)
+        r, f_col = col_e_step(x, t, terms)
+        want = free_energy(t, ColStats.of(x, r), terms)
+        assert abs(f_col - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+class TestLogisticKernels:
+    """One exponential per predictor: e = exp(-|eta|) gives the softplus
+    and the sigmoid of the fit. Both are within 2 ulp of 50-digit values,
+    and match numpy's logaddexp(0, eta) and scipy's expit."""
+
+    grid = np.concatenate([np.linspace(-745.0, 745.0, 100_001),
+                           [0.0, -0.0, 30.0, -30.0, 1e-300, -1e-300]])
+
+    def test_against_fifty_digit_values(self):
+        import mpmath as mp
+
+        u = np.concatenate([self.grid[::50], self.grid[-6:]])
+        e, sp = bem._exp_softplus(u)
+        sig = bem._sigmoid(u, e)
+        with mp.workdps(50):
+            want_sp = np.array([float(mp.log1p(mp.exp(mp.mpf(v)))) for v in u])
+            want_sig = np.array([float(1 / (1 + mp.exp(-mp.mpf(v)))) for v in u])
+        assert np.all(np.abs(sp - want_sp) <= 2 * np.spacing(want_sp))
+        assert np.all(np.abs(sig - want_sig) <= 2 * np.spacing(want_sig))
+
+    def test_against_numpy_and_scipy(self):
+        from scipy.special import expit
+
+        e, sp = bem._exp_softplus(self.grid)
+        want = np.logaddexp(0.0, self.grid)
+        assert np.all(np.abs(sp - want) <= 2 * np.spacing(want))
+        sig, want = bem._sigmoid(self.grid, e), expit(self.grid)
+        # expit is itself 2 ulp off near eta = -37, where the sigmoid is
+        # e^eta, and it underflows to 0 below -709, where e/(1+e) keeps the
+        # subnormal value: 3 ulp, or within the smallest normal number of 0
+        tol = 3 * np.spacing(want) + np.finfo(float).tiny
+        assert np.all(np.abs(sig - want) <= tol)
+        assert bem._sigmoid(np.zeros(1), np.ones(1))[0] == 0.5
+
+    def test_sigmoid_symmetry(self):
+        e, _ = bem._exp_softplus(self.grid)
+        flip, _ = bem._exp_softplus(-self.grid)
+        total = bem._sigmoid(self.grid, e) + bem._sigmoid(-self.grid, flip)
+        assert np.max(np.abs(total - 1.0)) <= 1e-15
+
+    def test_predictors_do_not_depend_on_the_blocks_computed_together(self):
+        # a BLAS product's last bits change with the number of rows it
+        # computes at once; the elementwise sum gives each row its bits
+        rng = np.random.default_rng(71)
+        cols = rng.normal(size=(3, 300))
+        coefs = rng.normal(size=(24, 3))
+        whole = bem._predictors(coefs, cols)
+        for rows in (slice(0, 12), [3, 17, 5], slice(23, 24)):
+            np.testing.assert_array_equal(bem._predictors(coefs[rows], cols), whole[rows])
 
 
 class TestEStepStructure:
@@ -111,7 +183,7 @@ class TestEStepStructure:
         rng = np.random.default_rng(0)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 1, 2, 1)
-        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
         np.testing.assert_array_equal(t, np.ones((6, 1)))
 
     def test_identical_clusters_are_indifferent(self):
@@ -125,14 +197,14 @@ class TestEStepStructure:
             means=np.tile(base.means, (2, 1)),
             covs=np.tile(base.covs, (2, 1, 1)),
         )
-        t = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
         np.testing.assert_allclose(t, 0.5, atol=1e-12)
 
     def test_single_column_cluster_is_certain(self):
         rng = np.random.default_rng(2)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 2, 1, 1)
-        r = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
+        r, _ = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
         np.testing.assert_array_equal(r, np.ones((5, 1)))
 
     def test_identical_column_clusters_are_indifferent(self):
@@ -146,7 +218,7 @@ class TestEStepStructure:
             means=base.means,
             covs=base.covs,
         )
-        r = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
+        r, _ = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
         np.testing.assert_allclose(r, 0.5, atol=1e-12)
 
     def test_pure_function_is_idempotent(self):
@@ -154,8 +226,8 @@ class TestEStepStructure:
         x, y = rand_instance(rng, 8, 6, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 6, 2)
-        t1 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
-        t2 = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        t1, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        t2, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
         np.testing.assert_allclose(t1, t2, atol=1e-12)
 
 
@@ -206,7 +278,7 @@ class TestMSteps:
         # block cell mean 0.25 with uniform weights: intercept log(1/3)
         x = BinaryMatrix(np.array([[1.0, 0.0, 0.0, 0.0]] * 6))
         y = CovariateTable(np.empty((6, 0)))
-        beta, clamped = m_step_beta(
+        beta, clamped, _ = m_step_beta(
             y, np.ones((6, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1))
         )
         assert beta[0, 0, 0] == pytest.approx(np.log(0.25 / 0.75), abs=1e-6)
@@ -217,7 +289,7 @@ class TestMSteps:
         y = CovariateTable(np.empty((5, 0)))
         monkeypatch.setattr(bem, "_NR_MAX_ITERS", 100)
         monkeypatch.setattr(bem, "_NR_GRAD_TOL", 1e-16)
-        beta, clamped = m_step_beta(
+        beta, clamped, _ = m_step_beta(
             y, np.ones((5, 1)), ColStats.of(x, np.ones((4, 1))), np.zeros((1, 1, 1))
         )
         assert beta[0, 0, 0] == pytest.approx(bem._PREDICTOR_BOUND)
@@ -232,7 +304,7 @@ class TestMSteps:
         t = rand_soft(rng, 6, 2)
         r = rand_soft(rng, 4, 2)
         beta0 = rng.normal(size=(2, 2, 2))
-        beta, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0)
+        beta, clamped, _ = m_step_beta(y, t, ColStats.of(x, r), beta0)
         assert not clamped.any()
         xr = x.values @ r
         rmass = r.sum(axis=0)
@@ -290,7 +362,7 @@ class TestStackedNewton:
 
     @staticmethod
     def _assert_matches_reference(x, y, t, r, beta0):
-        got, clamped = m_step_beta(y, t, ColStats.of(x, r), beta0)
+        got, clamped, _ = m_step_beta(y, t, ColStats.of(x, r), beta0)
         xr = x.values @ r
         rmass = r.sum(axis=0)
         for k in range(t.shape[1]):
@@ -359,6 +431,29 @@ class TestStackedNewton:
             for want, got in zip(first, m_step_beta(table, t, cols, beta0)):
                 np.testing.assert_array_equal(got, want)
         assert y._aug_pairs is pairs
+
+    def test_block_at_its_optimum_stops_without_halving(self, monkeypatch):
+        # with no gradient stop, a block at its optimum is left with a
+        # Newton step whose predicted gain is round-off; when that step
+        # does not ascend the block stops at once instead of halving it
+        # dozens of times, so each iteration evaluates one candidate
+        evals = []
+        inner = bem._objective
+        monkeypatch.setattr(bem, "_objective", lambda *a: evals.append(1) or inner(*a))
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = BinaryMatrix((rng.random((200, 10)) < 0.4).astype(float))
+            y = CovariateTable(rng.normal(size=(200, 1)))
+            t, r = np.ones((200, 1)), np.ones((10, 1))
+            xr = x.values @ r
+            best, _ = newton_block(y.augmented, t[:, 0], xr[:, 0], 10.0, np.zeros(2))
+            monkeypatch.setattr(bem, "_NR_GRAD_TOL", 0.0)
+            evals.clear()
+            got = m_step_beta(y, t, ColStats.of(x, r), best[None, None])[0]
+            monkeypatch.setattr(bem, "_NR_GRAD_TOL", 1e-8)
+            # the starting objective, then at most one candidate per iteration
+            assert len(evals) <= 1 + bem._NR_MAX_ITERS, seed
+            np.testing.assert_allclose(got[0, 0], best, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_identifiable_stacks(self, seed, monkeypatch):
@@ -552,6 +647,39 @@ class TestFit:
         assert res.n_iters == 8
         assert len(calls) <= res.n_iters + 1
 
+    def test_terms_come_from_the_accepted_predictors(self, monkeypatch):
+        # each sweep hands the predictors m_step_beta accepted to the next
+        # ParamTerms; none is computed again from the coefficients
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        calls = []
+        inner = bem.ParamTerms.of
+        monkeypatch.setattr(bem.ParamTerms, "of",
+                            classmethod(lambda cls, *a, **k: calls.append(1) or inner(*a, **k)))
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
+                        max_outer_iters=8)
+        res = fit(sim.x, sim.y, 2, 2, cfg)
+        assert res.n_iters == 8
+        assert calls == []
+
+    def test_adopted_params_pass_validation(self, monkeypatch):
+        # the fitting loop builds its ModelParams by _adopt, which skips the
+        # checks; each one it built must pass them, with the same factors
+        truth = cb.separated_params(2, 3, p=2, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        made = []
+        inner = ModelParams._adopt
+        monkeypatch.setattr(ModelParams, "_adopt",
+                            classmethod(lambda cls, *a: made.append(inner(*a)) or made[-1]))
+        fit(sim.x, sim.y, 2, 3, BemConfig(n_restarts=2, seed=1))
+        assert len(made) > 10
+        for adopted in made:
+            names = ("row_props", "col_props", "coefs", "means", "covs")
+            rebuilt = ModelParams(*(getattr(adopted, name) for name in names))
+            for name in names + ("cov_chols",):
+                assert not getattr(adopted, name).flags.writeable, name
+                np.testing.assert_array_equal(getattr(rebuilt, name), getattr(adopted, name))
+
     def test_column_m_step_terms_equal_fresh_terms(self, monkeypatch):
         # the column M-step's ParamTerms reuses the row M-step's Gaussian
         # log-densities; every ParamTerms a sweep reads must equal one
@@ -566,14 +694,16 @@ class TestFit:
         cfg = BemConfig(n_restarts=1, split_merge_rounds=0, free_energy_rel_tol=0.0,
                         max_outer_iters=4)
         res = bem._single_fit(sim.x, sim.y, 2, 3, cfg, np.random.default_rng(2))
-        assert len(seen) == 1 + 4 * res.n_iters
-        # trace entry 4k+2 follows a row M-step, 4k+4 a column M-step
-        pairs = list(zip(seen[2::4], seen[4::4]))
+        # the E-steps return their own free energy, so free_energy runs
+        # once at the start and after each M-step: call 2k+1 follows a
+        # row M-step, 2k+2 a column M-step
+        assert len(seen) == 1 + 2 * res.n_iters
+        pairs = list(zip(seen[1::2], seen[2::2]))
         assert all(col_m.logphi is row_m.logphi for row_m, col_m in pairs)
         assert any(not np.array_equal(col_m.eta, row_m.eta) for row_m, col_m in pairs)
         for terms in seen:
             fresh = ParamTerms.of(sim.y, terms.params)
-            for name in ("eta", "softplus", "logphi"):
+            for name in ("eta", "exp_neg", "softplus", "logphi"):
                 assert np.array_equal(getattr(terms, name), getattr(fresh, name)), name
 
     def test_free_energy_drop_message_prints_plain_floats(self):

@@ -16,6 +16,7 @@ from helpers import (
     bernoulli_link_logpdf,
     hard_soft,
     influence_score,
+    influence_scores_dense,
     log_posterior_y_rowform,
     mp_gauss_logpdf,
     rand_instance,
@@ -216,3 +217,35 @@ class TestInfluenceReport:
         report = influence_report(x, y, res)
         assert report.scores[0] > report.scores[1]
         assert report.ranking.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_match_the_dense_formula(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        n, m = (int(v) for v in rng.integers(2, 40, size=2))
+        g, d = (int(v) for v in rng.integers(1, 4, size=2))
+        x, y = rand_instance(rng, n, m, 2)
+        params = rand_params(rng, g, d, 2, coef_scale=4.0)
+        z, w = rng.integers(1, g + 1, size=n), rng.integers(1, d + 1, size=m)
+        res = manual_fit_result(params, z, w)
+        report = influence_report(x, y, res)
+        want = influence_scores_dense(x, y, res.map_labels, params)
+        np.testing.assert_allclose(report.scores, want, rtol=1e-12, atol=0)
+
+    def test_ranking_matches_the_dense_formula_on_criterion_8(self):
+        # the acceptance criterion 8 fixture: a probability-matched column
+        # and its complement, under intercepts +-3
+        z = np.array([1, 1, 2, 2, 1, 2])
+        params = ModelParams(
+            row_props=np.full(2, 0.5), col_props=np.ones(1),
+            coefs=np.array([[[3.0, 0.0]], [[-3.0, 0.0]]]),
+            means=np.zeros((2, 1)), covs=np.tile(np.eye(1), (2, 1, 1)),
+        )
+        matched = (z == 1).astype(float)
+        x = BinaryMatrix(np.column_stack([matched, 1.0 - matched]))
+        y = CovariateTable(np.zeros((6, 1)))
+        res = manual_fit_result(params, z, [1, 1])
+        report = influence_report(x, y, res)
+        want = influence_scores_dense(x, y, res.map_labels, params)
+        np.testing.assert_allclose(report.scores, want, rtol=1e-12, atol=0)
+        dense = np.lexsort((np.arange(want.size), -want)) + 1
+        assert report.ranking.tolist() == dense.tolist() == [1, 2]

@@ -36,8 +36,9 @@ def gaussian_logpdf(y, mean, cov) -> float:
 
 
 class TestLogistic:
-    """scipy's expit, the logistic link of bem and simulate, has the
-    properties they rely on."""
+    """scipy's expit, simulate's logistic link, has the properties it
+    relies on (the fit computes its sigmoid from exp(-|eta|); see
+    test_bem.TestLogisticKernels)."""
 
     def test_zero(self):
         assert logistic(0.0) == 0.5
