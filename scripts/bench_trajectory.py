@@ -1,0 +1,75 @@
+"""End-to-end speed along git history, chained from the BENCH_*.json files.
+
+    python3 scripts/bench_trajectory.py
+
+Each BENCH_*.json at the repository root holds paired runs of one change
+against its parent commit (see scripts/bench_pairs.py). The files were
+measured on different hosts, so their seconds do not compare across
+files; the ratio of the change's median op_s to the parent's, taken
+within one file, does. This script reads only those files, orders them
+by where their parent commit sits in the history of HEAD, oldest first,
+and prints per workload one line per file that measured it: the file,
+its parent commit, the change/parent op_s median ratio and the running
+product of the ratios so far, which estimates the op_s of that change
+relative to the first parent measured. A change not benchmarked on a
+workload is missing from its product.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_record(path: Path):
+    """(file name, parent commit, {workload: (parent median, change median)})
+    of one BENCH_*.json, from each workload's summary.op_s."""
+    doc = json.loads(Path(path).read_text())
+    medians = {
+        workload: (entry["summary"]["op_s"]["parent_median"],
+                   entry["summary"]["op_s"]["change_median"])
+        for workload, entry in doc["workloads"].items()
+    }
+    return Path(path).name, doc["parent_commit"], medians
+
+
+def chain(records):
+    """Per workload, the (name, ratio, running product) of each record that
+    measured it, in the order given; records are (name, medians) pairs with
+    medians as read_record returns them."""
+    rows = {}
+    for name, medians in records:
+        for workload, (parent, change) in medians.items():
+            line = rows.setdefault(workload, [])
+            ratio = change / parent
+            line.append((name, ratio, (line[-1][2] if line else 1.0) * ratio))
+    return rows
+
+
+def history_order(records):
+    """records sorted by their parent commit's place in HEAD's history, oldest first."""
+    commits = subprocess.run(["git", "rev-list", "--reverse", "HEAD"], cwd=ROOT,
+                             capture_output=True, text=True, check=True).stdout.split()
+    place = {commit: i for i, commit in enumerate(commits)}
+    stray = [name for name, parent, _ in records if parent not in place]
+    if stray:
+        sys.exit(f"parent commit not in the history of HEAD: {', '.join(stray)}")
+    return sorted(records, key=lambda record: place[record[1]])
+
+
+def main() -> int:
+    records = history_order([read_record(path) for path in ROOT.glob("BENCH_*.json")])
+    parents = {name: parent[:7] for name, parent, _ in records}
+    for workload, rows in sorted(chain((name, medians) for name, _, medians in records).items()):
+        print(workload)
+        for name, ratio, product in rows:
+            print(f"  {name:40s} {parents[name]}  ratio {ratio:.3f}  product {product:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

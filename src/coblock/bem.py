@@ -23,10 +23,13 @@ predictor, exp(-|eta|), gives both the sigmoid and the softplus.
 Derived terms are built once per change and handed on, as immutable
 values local to one fit. A ParamTerms per parameter set holds eta, its
 exponential and softplus, taken from the stack's accepted predictors,
-and the Gaussian log-densities, which the column M-step reuses. A
+and the Gaussian log-densities, which the column M-step reuses; each
+logistic M-step warm-starts from coefficients and their predictors. A
 ColStats per column posterior r holds x @ r and the column masses. Each
 E-step returns the free energy at its posterior from its softmax
 normalizers, so free_energy runs after the two M-steps of a sweep only.
+fit runs restarts and split-merge refits alike, as fits from given soft
+assignments in one loop under one acceptance rule.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from scipy.special import xlogy
 
 from .errors import (
     AllRestartsFailed,
+    DimensionMismatch,
     EmptyCluster,
-    LengthMismatch,
     NotPositiveDefinite,
     ParamValidationError,
 )
@@ -202,9 +205,9 @@ class ParamTerms:
         _read_only(self.eta, self.exp_neg, self.softplus, self.logphi)
 
     @classmethod
-    def of(cls, y: CovariateTable, params: ModelParams, logphi=None) -> ParamTerms:
-        """The terms of params, reusing logphi if given (params' own densities)."""
-        logphi = gaussian_cluster_logpdfs(y, params) if logphi is None else logphi
+    def of(cls, y: CovariateTable, params: ModelParams) -> ParamTerms:
+        """The terms of params, all computed afresh."""
+        logphi = gaussian_cluster_logpdfs(y, params)
         return cls(params, *_logistic(params.coefs, y.augmented), logphi)
 
 
@@ -213,7 +216,6 @@ class ColStats:
     """A column posterior r (m,d), frozen in a copy of its own, with
     x r (n,d) and the column-cluster masses r_.l (d,)."""
 
-    x: BinaryMatrix
     r: np.ndarray
     xr: np.ndarray
     mass: np.ndarray
@@ -221,7 +223,7 @@ class ColStats:
     @classmethod
     def of(cls, x: BinaryMatrix, r) -> ColStats:
         r = np.array(r, dtype=float)
-        return cls(x, *_read_only(r, x.values @ r, r.sum(axis=0)))
+        return cls(*_read_only(r, x.values @ r, r.sum(axis=0)))
 
 
 def _softmax_rows(logits: np.ndarray):
@@ -398,21 +400,21 @@ def _solve_boosted(neg_h, grad) -> np.ndarray:
 def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
     """Damped Newton ascent of K independent block objectives at once.
 
-    Block b is row b of the weights data[0] and counts data[1] (K, n;
-    data[2] is room for the sigmoid), mass (K,), beta_init (K, q) and
-    predictors, the _logistic of beta_init as (3, K, n). Each accepted
-    candidate keeps its exponential, which gives the next sigmoid. A block
-    stops once its gradient is below _NR_GRAD_TOL times its Bernoulli
-    mass (so the iteration count does not grow with n). A full step that
-    would take a predictor out of [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is
-    cut to the box's edge; one that does not ascend is halved until the
-    objective does not decrease (at most 60 tries, never below a relative
-    step of 1e-15), unless its predicted gain step * grad . delta is
-    within _ROUND_OFF_ULPS ulps of the objective's terms: then the block
-    stops where it is, as without a direction or room in the box. The
-    blocks that stop in an iteration leave the active set together at the
-    start of the next. Returns (beta, clamped, final): clamped marks
-    binding boxes, and final (3, K, n) is the _logistic of beta.
+    Block b is row b of the weights data[0] and counts data[1] (K, n),
+    mass (K,), beta_init (K, q) and predictors, the _logistic of beta_init
+    as (3, K, n). Each accepted candidate keeps its exponential, which
+    gives the next sigmoid. A block stops once its gradient is below
+    _NR_GRAD_TOL times its Bernoulli mass (so the iteration count does not
+    grow with n). A full step that would take a predictor out of
+    [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is cut to the box's edge; one
+    that does not ascend is halved until the objective does not decrease
+    (at most 60 tries, never below a relative step of 1e-15), unless its
+    predicted gain step * grad . delta is within _ROUND_OFF_ULPS ulps of
+    the objective's terms: then the block stops where it is, as without a
+    direction or room in the box. The blocks that stop in an iteration
+    leave the active set together at the start of the next. Returns (beta,
+    clamped, final): clamped marks binding boxes, and final (3, K, n) is
+    the _logistic of beta.
     """
     y_aug, pairs = y.augmented, y._aug_pairs
     q = y_aug.shape[1]
@@ -437,14 +439,15 @@ def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
         pred, data, blk = pred[:, keep], data[:, keep], blk[keep]
 
     for _ in range(_NR_MAX_ITERS):
-        _sigmoid(pred[0], pred[1], out=data[2])
-        blk[:, G] = _gradient(data[2], y_aug, data[0], data[1], blk[:, 2:3])
+        sig = _sigmoid(pred[0], pred[1])
+        blk[:, G] = _gradient(sig, y_aug, data[0], data[1], blk[:, 2:3])
         keep = ~halted & (np.max(np.abs(blk[:, G]), axis=1) >= _NR_GRAD_TOL * blk[:, 3])
         if not keep.all():
             retire(keep)
             if not blk.shape[0]:
                 break
-        eta, (w, c, sig) = pred[0], data
+            sig = sig[keep]  # the Hessian below reads the kept blocks' sigmoid
+        eta, (w, c) = pred[0], data
         obj, tm, b, u, grad = blk[:, 1], blk[:, 2], blk[:, B], blk[:, U], blk[:, G]
         delta = _solve_boosted(_neg_hessian(sig, w, tm[:, None], pairs), grad)
         # no direction: a zero step keeps the block in place until it retires
@@ -500,10 +503,10 @@ def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
     return beta, np.abs(final[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6, final
 
 
-def m_step_beta(y: CovariateTable, t, cols: ColStats, start):
-    """Per-block logistic coefficient updates, warm-started from start: a
-    (g, d, p+1) coefficient array, or a ParamTerms whose coefficients and
-    predictors are used as they are.
+def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
+    """Per-block logistic coefficient updates, warm-started from coefs
+    (g, d, p+1) with their predictors, the (3, g, d, n) _logistic of coefs
+    (computed here if None).
 
     Blocks are independent: block (k,l) maximizes
         sum_i t_ik [ (x r)_il eta_i - r_.l softplus(eta_i) ].
@@ -516,16 +519,14 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, start):
     of coefs, as ParamTerms.of has it.
     """
     t = np.asarray(t, dtype=float)
-    if isinstance(start, ParamTerms):
-        beta_init, predictors = start.params.coefs, (start.eta, start.exp_neg, start.softplus)
-    else:
-        beta_init = np.asarray(start, dtype=float)
-        predictors = _logistic(beta_init, y.augmented)
-    g, d, q = beta_init.shape
-    data = np.empty((3, g, d, y.n))
+    coefs = np.asarray(coefs, dtype=float)
+    if predictors is None:
+        predictors = _logistic(coefs, y.augmented)
+    g, d, q = coefs.shape
+    data = np.empty((2, g, d, y.n))
     data[0], data[1] = t.T[:, None, :], cols.xr.T
-    coefs, clamped, final = _newton_stack(y, data.reshape(3, g * d, -1), np.tile(cols.mass, g),
-                                          beta_init.reshape(g * d, q), predictors)
+    coefs, clamped, final = _newton_stack(y, data.reshape(2, g * d, -1), np.tile(cols.mass, g),
+                                          coefs.reshape(g * d, q), predictors)
     return coefs.reshape(g, d, q), clamped.reshape(g, d), final.reshape(3, g, d, -1)
 
 
@@ -631,37 +632,43 @@ def _init_assignments(x, y, g, d, rng: np.random.Generator):
     return t, r
 
 
-def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None) -> FitResult:
-    t, r = _init_assignments(x, y, g, d, rng) if init is None else init
-    cols = ColStats.of(x, r)
+def _row_m_step(y, t, cols: ColStats, coefs, predictors=None) -> ParamTerms:
+    """The row M-step as a ParamTerms: pi and rho from t and cols, the
+    Gaussian parameters, and m_step_beta warm-started from coefs (with
+    their predictors, if given)."""
     means, covs = m_step_gaussian(t, y)
-    coefs, _, pred = m_step_beta(y, t, cols, np.zeros((g, d, y.p + 1)))
+    coefs, _, pred = m_step_beta(y, t, cols, coefs, predictors)
     params = ModelParams._adopt(_proportions(t), _proportions(cols.r), coefs, means, covs)
-    terms = ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
+    return ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
+
+
+def _single_fit(x, y, g, d, cfg: BemConfig, init) -> FitResult:
+    """One block-EM run from the soft assignments init = (t, r)."""
+    t, r = init
+    cols = ColStats.of(x, r)
+    terms = _row_m_step(y, t, cols, np.zeros((g, d, y.p + 1)))
     trace = [free_energy(t, cols, terms)]
     converged = False
-    n_iters = 0
-    for _ in range(cfg.max_outer_iters):
+    for n_iters in range(1, cfg.max_outer_iters + 1):
         t, f = row_e_step(cols, terms)
         trace.append(f)
 
-        means, covs = m_step_gaussian(t, y)
-        coefs, _, pred = m_step_beta(y, t, cols, terms)
-        params = ModelParams._adopt(_proportions(t), params.col_props, coefs, means, covs)
-        terms = ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
+        terms = _row_m_step(y, t, cols, terms.params.coefs,
+                            (terms.eta, terms.exp_neg, terms.softplus))
         trace.append(free_energy(t, cols, terms))
 
         r, f = col_e_step(x, t, terms)
         cols = ColStats.of(x, r)
         trace.append(f)
 
-        coefs, _, pred = m_step_beta(y, t, cols, terms)
-        params = ModelParams._adopt(params.row_props, _proportions(cols.r), coefs, means, covs)
+        row = terms.params
+        coefs, _, pred = m_step_beta(y, t, cols, row.coefs,
+                                     (terms.eta, terms.exp_neg, terms.softplus))
+        params = ModelParams._adopt(row.row_props, _proportions(cols.r), coefs, row.means, row.covs)
         # same means and covariances: only eta and its softplus change
         terms = ParamTerms(params, *pred, terms.logphi)
         trace.append(free_energy(t, cols, terms))
 
-        n_iters += 1
         tol = cfg.free_energy_rel_tol
         prev, cur = trace[-5], trace[-1]
         if tol > 0 and cur - prev < tol * (abs(prev) + 1e-12):
@@ -669,7 +676,7 @@ def _single_fit(x, y, g, d, cfg: BemConfig, rng: np.random.Generator, init=None)
             break
 
     return FitResult(
-        params=params,
+        params=terms.params,
         assignments=SoftAssignments(t, cols.r),
         free_energy_trace=np.array(trace),
         converged=converged,
@@ -740,10 +747,10 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
         fixed, mixing weights uniform (log rho = 0); purifies a noisy 2-means
         nucleation so the global refit does not wash the split back out."""
         r = _soft_from_hard(halves, 2)
-        beta = np.zeros((g, 2, aug.shape[1]))
+        beta, pred = np.zeros((g, 2, aug.shape[1])), None
         for _ in range(3):
-            beta, _, (beta_eta, _, beta_sp) = m_step_beta(y, t, ColStats.of(xs, r), beta)
-            r, _ = _softmax_rows(_col_logits(xs.values, t, beta_eta, beta_sp, np.ones(2)))
+            beta, _, pred = m_step_beta(y, t, ColStats.of(xs, r), beta, pred)
+            r, _ = _softmax_rows(_col_logits(xs.values, t, pred[0], pred[2], np.ones(2)))
         return r.argmax(axis=1)
 
     candidates, labs = [], []
@@ -797,51 +804,43 @@ def _gains(new: FitResult, old: FitResult | None) -> bool:
 def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | None = None) -> FitResult:
     """Best-of-restarts block-EM fit with g row and d column clusters.
 
-    Runs cfg.n_restarts independent initializations (sub-seeded from
-    cfg.seed) and keeps the result with the highest final free energy,
-    then attempts up to cfg.split_merge_rounds merge-and-split
-    refinements of the column clustering, accepting a refit only when it
-    improves the free energy. A later result replaces an earlier one only
-    if its free energy is higher by more than the trace slack (1e-9
-    relative), so round-off ties never decide. Restarts that collapse a
-    cluster are skipped; if every restart collapses, AllRestartsFailed
-    is raised.
+    Every start runs through one loop under one rule: a fit replaces the
+    one kept only if its free energy is higher by more than the trace
+    slack (1e-9 relative), so round-off ties never decide, and a start
+    that collapses a cluster is skipped. Round 0 runs cfg.n_restarts
+    initializations (sub-seeded from cfg.seed) with none kept, and raises
+    AllRestartsFailed if all collapse. Each of up to cfg.split_merge_rounds
+    more rounds refits the merge-and-split candidates of the fit kept; a
+    round in which no refit beats it ends the fit.
     """
     if cfg is None:
         cfg = BemConfig()
     if x.n != y.n:
-        raise LengthMismatch(f"x has {x.n} rows but y has {y.n}")
+        raise DimensionMismatch(f"x has {x.n} rows but y has {y.n}")
     if not (1 <= g <= x.n) or not (1 <= d <= x.m):
         raise ParamValidationError(
             f"need 1 <= g <= n and 1 <= d <= m, got g={g}, d={d}, n={x.n}, m={x.m}"
         )
-    best = None
-    last_error = None
+    best = last_error = None
     seq = np.random.SeedSequence(cfg.seed)
-    for child in seq.spawn(cfg.n_restarts):
-        rng = np.random.default_rng(child)
-        try:
-            result = _single_fit(x, y, g, d, cfg, rng)
-        except (EmptyCluster, NotPositiveDefinite) as exc:
-            last_error = exc
-            continue
-        if _gains(result, best):
-            best = result
-    if best is None:
-        raise AllRestartsFailed(
-            f"all {cfg.n_restarts} restarts failed; last failure: {last_error}"
-        )
-    for _ in range(cfg.split_merge_rounds):
-        rng = np.random.default_rng(seq.spawn(1)[0])
-        improved = None
-        for init in _merge_split_candidates(x, y, best, rng):
+    inits = (_init_assignments(x, y, g, d, np.random.default_rng(child))
+             for child in seq.spawn(cfg.n_restarts))
+    for refine in range(cfg.split_merge_rounds + 1):
+        if refine:
+            inits = _merge_split_candidates(x, y, best, np.random.default_rng(seq.spawn(1)[0]))
+        kept = best
+        for init in inits:
             try:
-                candidate = _single_fit(x, y, g, d, cfg, rng, init=init)
-            except (EmptyCluster, NotPositiveDefinite):
+                result = _single_fit(x, y, g, d, cfg, init)
+            except (EmptyCluster, NotPositiveDefinite) as exc:
+                last_error = exc
                 continue
-            if _gains(candidate, best) and _gains(candidate, improved):
-                improved = candidate
-        if improved is None:
+            if _gains(result, best):
+                best = result
+        if best is None:
+            raise AllRestartsFailed(
+                f"all {cfg.n_restarts} restarts failed; last failure: {last_error}"
+            )
+        if best is kept:
             break
-        best = improved
     return best

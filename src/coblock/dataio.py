@@ -159,11 +159,15 @@ def write_y_csv(path, y: CovariateTable) -> None:
     _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
 
 
+def _write_csv(path, header: str, lines) -> None:
+    """The header line, then each of lines, every line ending in "\n"."""
+    _write_text(path, "\n".join([header, *lines]) + "\n")
+
+
 def write_labels_csv(path, labels: HardLabels) -> None:
-    lines = ["kind,index,label"]
-    lines += [f"row,{i + 1},{int(z)}" for i, z in enumerate(labels.row_labels)]
+    lines = [f"row,{i + 1},{int(z)}" for i, z in enumerate(labels.row_labels)]
     lines += [f"col,{j + 1},{int(w)}" for j, w in enumerate(labels.col_labels)]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "kind,index,label", lines)
 
 
 def read_labels_csv(path) -> HardLabels:
@@ -196,40 +200,36 @@ def read_labels_csv(path) -> HardLabels:
 
 
 def write_free_energy_csv(path, trace) -> None:
-    lines = ["iteration,value"]
-    lines += [f"{i},{format_float(v)}" for i, v in enumerate(np.asarray(trace, dtype=float))]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "iteration,value",
+               (f"{i},{format_float(v)}" for i, v in enumerate(np.asarray(trace, dtype=float))))
 
 
 def write_bic_grid_csv(path, grid) -> None:
-    lines = ["g,d,free_energy,bic,converged"]
+    lines = []
     for key in sorted(grid.entries):
         cell = grid.entries[key]
         conv = "true" if cell.fit.converged else "false"
         lines.append(
             f"{cell.g},{cell.d},{format_float(cell.free_energy)},{format_float(cell.bic)},{conv}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "g,d,free_energy,bic,converged", lines)
 
 
 def write_influence_csv(path, report, labels: HardLabels) -> None:
     ranks = np.empty(report.ranking.size, dtype=np.int64)
     ranks[report.ranking - 1] = np.arange(1, report.ranking.size + 1)
-    lines = ["j,score,col_label,rank"]
+    lines = []
     for j in range(report.scores.size):
         lines.append(
             f"{j + 1},{format_float(report.scores[j])},"
             f"{int(labels.col_labels[j])},{ranks[j]}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "j,score,col_label,rank", lines)
 
 
 def write_timing_csv(path, rows) -> None:
-    lines = ["n,d,rep,sweeps,seconds"]
-    lines += [
-        f"{n},{d},{rep},{sweeps},{format_float(sec)}" for n, d, rep, sweeps, sec in rows
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "n,d,rep,sweeps,seconds",
+               (f"{n},{d},{rep},{sweeps},{format_float(sec)}" for n, d, rep, sweeps, sec in rows))
 
 
 def _json_scalar(value) -> str:

@@ -14,7 +14,11 @@ class NotPositiveDefinite(ParamValidationError):
 
 
 class LengthMismatch(CoblockError):
-    """Two label vectors that must align have different lengths."""
+    """Two arrays that must align have different lengths."""
+
+
+class DimensionMismatch(LengthMismatch):
+    """Row counts of the binary matrix and covariate table disagree."""
 
 
 class EmptyCluster(CoblockError):
@@ -32,10 +36,6 @@ class ParseError(CoblockError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class DimensionMismatch(CoblockError):
-    """Row counts of the binary matrix and covariate table disagree."""
 
 
 class NonBinaryValue(ParseError):

@@ -7,8 +7,10 @@ and a sum over columns; the column j term is its influence I(j):
     I(j) = log rho_{w_j} + sum_i [ x_ij eta_ij - log(1 + exp(eta_ij)) ],
     eta_ij = y_aug_i . beta_{z_i, w_j}.
 
-Ranking columns by decreasing I(j) orders them by their log-contribution
-to the fitted model.
+This is the column E-step's logit of column j for its own cluster w_j,
+under one-hot row posteriors at the MAP rows, so bem's column-scoring
+routine computes it. Ranking columns by decreasing I(j) orders them by
+their log-contribution to the fitted model.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem import FitResult, _exp_softplus
+from .bem import FitResult, _col_logits, _logistic
 from .errors import LengthMismatch, ParamValidationError
 from .model import BinaryMatrix, CovariateTable
 
@@ -53,13 +55,7 @@ def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> Infl
         )
     if labels.row_labels.max() > params.g or labels.col_labels.max() > params.d:
         raise ParamValidationError("labels refer to clusters beyond the parameter grid")
-    z0 = labels.row_labels - 1
-    w0 = labels.col_labels - 1
-    # eta[i,l] = y_aug_i . beta_{z_i, l}, shape (n, d)
-    eta = np.einsum("iq,ilq->il", y.augmented, params.coefs[z0])
-    _, sp = _exp_softplus(eta)
-    with np.errstate(divide="ignore"):
-        logrho = np.log(params.col_props)
-    # sum_i x_ij eta_{i,w_j} and sum_i softplus per cluster: no (n, m) temporaries
-    cross = (eta.T @ x.values)[w0, np.arange(x.m)]
-    return InfluenceReport(scores=logrho[w0] + cross - sp.sum(axis=0)[w0])
+    eta, _, sp = _logistic(params.coefs, y.augmented)
+    onehot = np.eye(params.g)[labels.row_labels - 1]
+    scores = _col_logits(x.values, onehot, eta, sp, params.col_props)
+    return InfluenceReport(scores=scores[np.arange(x.m), labels.col_labels - 1])

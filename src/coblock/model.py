@@ -274,17 +274,12 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
 
-def _gaussian_logpdfs(rows: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """(n, g) log-densities of rows (n, p) under N(means[k], L_k L_k^T), for
-    the factors L (g, p, p): one batched u = (rows - mean_k) L_k^-T. The
-    result is C-ordered, so sums over it run as over any (n, g) array."""
-    u = (rows[None, :, :] - means[:, None, :]) @ np.linalg.inv(chols).transpose(0, 2, 1)
+def gaussian_cluster_logpdfs(y: CovariateTable, params: ModelParams) -> np.ndarray:
+    """(n, g) matrix of log phi(y_i; mean_k, cov_k) using the cached factors
+    L_k: one batched u = (y_i - mean_k) L_k^-T. The result is C-ordered, so
+    sums over it run as over any (n, g) array."""
+    means, chols = params.means, params.cov_chols
+    u = (y.values[None, :, :] - means[:, None, :]) @ np.linalg.inv(chols).transpose(0, 2, 1)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     quad = np.ascontiguousarray(np.sum(u * u, axis=2).T)
     return -0.5 * (means.shape[1] * LOG_2PI + logdet + quad)
-
-
-def gaussian_cluster_logpdfs(y: CovariateTable, params: ModelParams) -> np.ndarray:
-    """(n, g) matrix of log phi(y_i; mean_k, cov_k) using the cached factors."""
-    return _gaussian_logpdfs(y.values, params.means, params.cov_chols)
-

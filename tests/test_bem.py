@@ -31,6 +31,7 @@ from coblock.bem import (
 )
 from coblock.errors import (
     AllRestartsFailed,
+    DimensionMismatch,
     EmptyCluster,
     LengthMismatch,
     ParamValidationError,
@@ -575,6 +576,9 @@ class TestFit:
             fit(x, y, 1, 5, BemConfig())
         with pytest.raises(LengthMismatch):
             fit(x, CovariateTable(np.zeros((3, 1))), 1, 1, BemConfig())
+        # the row-count check raises the class load_dataset raises for it
+        with pytest.raises(DimensionMismatch, match="5 rows but y has 3"):
+            fit(x, CovariateTable(np.zeros((3, 1))), 1, 1, BemConfig())
 
     def test_all_restarts_failed(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -626,9 +630,49 @@ class TestFit:
 
         rounds = []
         monkeypatch.setattr(bem, "_merge_split_candidates", lambda *a: rounds.append(1) or ["init"])
-        monkeypatch.setattr(bem, "_single_fit", lambda *a, init=None: kept if init is None else tie)
+        # refits start from the sentinel, restarts from an (t, r) pair
+        monkeypatch.setattr(bem, "_single_fit", lambda *a: tie if a[-1] == "init" else kept)
         got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, split_merge_rounds=2))
         assert got is kept and len(rounds) == 1
+
+    def test_one_rule_for_restarts_and_refits(self, monkeypatch):
+        # restarts start with nothing kept and refits with the fit kept; in
+        # both a fit replaces the one kept only when it beats it by more
+        # than the slack, and a start that collapses a cluster is skipped
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        base = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, split_merge_rounds=0))
+
+        def at(value):
+            return replace(base, free_energy_trace=[value])
+
+        restarts = [at(-100.0), EmptyCluster("collapsed"), at(-90.0)]
+        # a tie with the restart's best, a gain, and a fit that beats the
+        # restarts' best but not the refit before it
+        first_round = [at(-90.0 + 1e-12), at(-80.0), at(-85.0)]
+        second_round = [EmptyCluster("collapsed"), at(-80.0 + 1e-12)]
+        outcomes = iter(restarts + first_round + second_round)
+
+        def scripted(*args):
+            out = next(outcomes)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        rounds = []
+
+        def candidates(x, y, result, rng):
+            rounds.append(result)
+            return ["init"] * (len(first_round) if len(rounds) == 1 else len(second_round))
+
+        monkeypatch.setattr(bem, "_single_fit", scripted)
+        monkeypatch.setattr(bem, "_merge_split_candidates", candidates)
+        got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=3, split_merge_rounds=3))
+        assert got is first_round[1]
+        # the second round kept its incumbent, so no third round ran
+        assert len(rounds) == 2
+        assert rounds[0] is restarts[2] and rounds[1] is first_round[1]
+        assert next(outcomes, None) is None
 
     def test_gaussian_terms_once_per_parameter_set(self, monkeypatch):
         # each ModelParams of a sweep is read by the E-steps and the free
@@ -693,7 +737,8 @@ class TestFit:
         )
         cfg = BemConfig(n_restarts=1, split_merge_rounds=0, free_energy_rel_tol=0.0,
                         max_outer_iters=4)
-        res = bem._single_fit(sim.x, sim.y, 2, 3, cfg, np.random.default_rng(2))
+        init = bem._init_assignments(sim.x, sim.y, 2, 3, np.random.default_rng(2))
+        res = bem._single_fit(sim.x, sim.y, 2, 3, cfg, init)
         # the E-steps return their own free energy, so free_energy runs
         # once at the start and after each M-step: call 2k+1 follows a
         # row M-step, 2k+2 a column M-step
@@ -902,24 +947,42 @@ class TestSplitMerge:
         sim = cb.generate(cb.SimConfig(n=40, m=12, params=truth, seed=9))
         cell_seed = np.random.SeedSequence(1).generate_state(6, dtype=np.uint64)[5]
         cfg = BemConfig(n_restarts=2, seed=int(cell_seed))
-        inits = []
+        calls = []
         inner = bem._single_fit
-
-        def counting(*args, init=None):
-            inits.append(init is not None)
-            return inner(*args, init=init)
-
-        monkeypatch.setattr(bem, "_single_fit", counting)
+        monkeypatch.setattr(bem, "_single_fit", lambda *args: calls.append(1) or inner(*args))
         got = fit(sim.x, sim.y, 3, 2, cfg)
-        refits = sum(inits)
-        inits.clear()
+        refits = len(calls) - cfg.n_restarts
+        calls.clear()
         monkeypatch.setattr(bem, "_same_partition", lambda a, b: False)
         unfiltered = fit(sim.x, sim.y, 3, 2, cfg)
-        assert (refits, sum(inits)) == (2, 4)
+        assert (refits, len(calls) - cfg.n_restarts) == (2, 4)
         assert _fit_bytes(got) == _fit_bytes(unfiltered)
         # the refit of the restart's own partition wins and must not be dropped
         restarts_only = fit(sim.x, sim.y, 3, 2, replace(cfg, split_merge_rounds=0))
         assert bem._gains(got, restarts_only)
+
+    def test_sharpen_rounds_hand_on_their_predictors(self, monkeypatch):
+        # each two-block column EM round after the first warm-starts
+        # m_step_beta from the coefficients and predictors the round
+        # before returned, so their _logistic is not computed again
+        truth = cb.separated_params(2, 4, p=1, seed=1)
+        sim = cb.generate(cb.SimConfig(n=40, m=16, params=truth, seed=9))
+        res = fit(sim.x, sim.y, 2, 4, BemConfig(n_restarts=2, seed=1, split_merge_rounds=0))
+        calls = []
+        inner = bem.m_step_beta
+
+        def recording(y, t, cols, coefs, predictors=None):
+            out = inner(y, t, cols, coefs, predictors)
+            calls.append((coefs, predictors, out))
+            return out
+
+        monkeypatch.setattr(bem, "m_step_beta", recording)
+        bem._merge_split_candidates(sim.x, sim.y, res, np.random.default_rng(0))
+        assert calls and len(calls) % 3 == 0
+        for k in range(0, len(calls), 3):
+            assert calls[k][1] is None
+            for before, call in zip(calls[k:k + 2], calls[k + 1:k + 3]):
+                assert call[0] is before[2][0] and call[1] is before[2][2]
 
     def test_candidates_have_distinct_partitions(self, monkeypatch):
         truth = cb.separated_params(2, 4, p=1, seed=1)
