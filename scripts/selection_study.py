@@ -2,20 +2,25 @@
 
 Simulates from a separated (2, 3) truth and tallies the selected (g, d)
 over seeded runs. The covariate density is counted once per row, so the
-Gaussian part cannot swamp the penalty on the binary part.
+Gaussian part cannot swamp the penalty on the binary part. Beside each
+pick it prints the sweeps the run took, counted from outside by wrapping
+coblock.bem.row_e_step (one call per sweep), and the run's CPU seconds,
+and their totals at the end. Pin BLAS to one thread when comparing CPU
+seconds across commits:
 
-Usage:
-    python3 scripts/selection_study.py --runs 20
+    OPENBLAS_NUM_THREADS=1 python3 scripts/selection_study.py --runs 20
 """
 
 import argparse
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import coblock as cb
+from coblock import bem
 
 
 def picks(runs, n=300, m=60, restarts=3, g_max=3, d_max=4):
@@ -41,13 +46,27 @@ def main():
     ap.add_argument("--d-max", type=int, default=4)
     args = ap.parse_args()
 
-    tally = Counter()
-    chosen = picks(args.runs, args.n, args.m, args.restarts, args.g_max, args.d_max)
-    for run, best in enumerate(chosen):
-        tally[best] += 1
-        print(f"run {run:>3}: best (g, d) = {best}")
+    sweeps = [0]
+    row_e_step = bem.row_e_step
 
-    print("\nselected (g, d) counts (truth is (2, 3)):")
+    def counted(*a):
+        sweeps[0] += 1
+        return row_e_step(*a)
+
+    bem.row_e_step = counted
+    tally = Counter()
+    total_sweeps = total_cpu = 0
+    chosen = picks(args.runs, args.n, args.m, args.restarts, args.g_max, args.d_max)
+    for run in range(args.runs):
+        sweeps[0], start = 0, time.process_time()
+        best = next(chosen)
+        cpu = time.process_time() - start
+        total_sweeps, total_cpu = total_sweeps + sweeps[0], total_cpu + cpu
+        tally[best] += 1
+        print(f"run {run:>3}: best (g, d) = {best}, {sweeps[0]} sweeps, {cpu:.1f} CPU s")
+
+    print(f"\ntotal: {total_sweeps} sweeps, {total_cpu:.1f} CPU s")
+    print("selected (g, d) counts (truth is (2, 3)):")
     for pair, count in sorted(tally.items()):
         print(f"  {pair}: {count}/{args.runs}")
 

@@ -3,14 +3,15 @@ M-steps that jointly ascend the free energy.
 
 One outer cycle is
     (a) row E-step        t <- posterior over row clusters given r, params
-    (b) row M-step        pi, Gaussian params, and a logistic half-update
+    (b) row M-step        pi and the Gaussian params, in closed form
     (c) column E-step     r <- posterior over column clusters given t, params
-    (d) column M-step     rho and the logistic update, warm-started from (b)
+    (d) column M-step     rho and the logistic coefficients
 
-Every sub-step maximizes the free energy over its own coordinates with
-the rest held fixed, so the trace recorded after each sub-step is
-non-decreasing (up to a relative slack of 1e-9 that covers the ridge
-term added to covariance estimates).
+Each M-step fits only the parameters whose statistics its E-step changed,
+and every sub-step maximizes the free energy over its own coordinates
+with the rest held fixed (ECM), so the trace recorded after each
+sub-step is non-decreasing (up to a relative slack of 1e-9 that covers
+the ridge term added to covariance estimates).
 
 The per-block logistic fits are damped Newton-Raphson solves of a
 weighted binomial log-likelihood, run for all g*d blocks at once as one
@@ -22,9 +23,9 @@ predictor, exp(-|eta|), gives both the sigmoid and the softplus.
 
 Derived terms are built once per change and handed on, as immutable
 values local to one fit. A ParamTerms per parameter set holds eta, its
-exponential and softplus, taken from the stack's accepted predictors,
-and the Gaussian log-densities, which the column M-step reuses; each
-logistic M-step warm-starts from coefficients and their predictors. A
+exponential and softplus as the one array the stack accepted, and the
+Gaussian log-densities; an M-step keeps those of the parameters it does
+not fit, and each logistic M-step warm-starts from the one before. A
 ColStats per column posterior r holds x @ r and the column masses. Each
 E-step returns the free energy at its posterior from its softmax
 normalizers, so free_energy runs after the two M-steps of a sweep only.
@@ -191,24 +192,16 @@ def _read_only(*arrays):
 
 @dataclass(frozen=True)
 class ParamTerms:
-    """A parameter set with its predictors eta[k,l,i] = y_aug_i . coefs[k,l]
-    (g,d,n), exp_neg = exp(-|eta|), softplus (from m_step_beta in a fit, with
-    the bits of() computes) and the (n,g) Gaussian log-densities."""
+    """A parameter set with its predictors, the (3,g,d,n) _logistic of its
+    coefs (eta[k,l,i] = y_aug_i . coefs[k,l], exp(-|eta|) and softplus, as
+    m_step_beta returns them), and the (n,g) Gaussian log-densities."""
 
     params: ModelParams
-    eta: np.ndarray
-    exp_neg: np.ndarray
-    softplus: np.ndarray
+    predictors: np.ndarray
     logphi: np.ndarray
 
     def __post_init__(self):
-        _read_only(self.eta, self.exp_neg, self.softplus, self.logphi)
-
-    @classmethod
-    def of(cls, y: CovariateTable, params: ModelParams) -> ParamTerms:
-        """The terms of params, all computed afresh."""
-        logphi = gaussian_cluster_logpdfs(y, params)
-        return cls(params, *_logistic(params.coefs, y.augmented), logphi)
+        _read_only(self.predictors, self.logphi)
 
 
 @dataclass(frozen=True)
@@ -251,22 +244,24 @@ def row_e_step(cols: ColStats, terms: ParamTerms):
                + sum_l [ (x r)_il eta_kli - r_.l softplus(eta_kli) ]
     with the covariate density counted once per row, and
     F = sum_i logsumexp_k a_ik + sum_l r_.l log rho_l - sum r log r."""
-    bern = ((terms.eta * cols.xr.T).sum(axis=1) - cols.mass @ terms.softplus).T
+    eta, _, sp = terms.predictors
+    bern = ((eta * cols.xr.T).sum(axis=1) - cols.mass @ sp).T
     with np.errstate(divide="ignore"):
         logpi = np.log(terms.params.row_props)
     t, lognorm = _softmax_rows(logpi[None, :] + terms.logphi + bern)
     return t, lognorm + _col_terms(cols, terms.params)
 
 
-def _row_sums(t, eta, sp):
+def _row_sums(t, pred):
     """lin[l, i] = sum_k t_ik eta_kli (d, n) and base[l] = sum_ik t_ik sp_kli (d,)."""
+    eta, _, sp = pred
     return (t.T[:, None, :] * eta).sum(axis=0), (sp @ t.T[:, :, None]).sum(axis=0)[:, 0]
 
 
-def _col_logits(xv: np.ndarray, t, eta, sp, col_props) -> np.ndarray:
+def _col_logits(xv: np.ndarray, t, pred, col_props) -> np.ndarray:
     """Unnormalized column log-posteriors, one row per column of xv:
     log rho_l + sum_i x_ij sum_k t_ik eta_kli - sum_ik t_ik softplus(eta_kli)."""
-    lin, base = _row_sums(t, eta, sp)
+    lin, base = _row_sums(t, pred)
     with np.errstate(divide="ignore"):
         return np.log(col_props)[None, :] + (lin @ xv).T - base[None, :]
 
@@ -278,7 +273,7 @@ def col_e_step(x: BinaryMatrix, t, terms: ParamTerms):
     log rho_l appear in its logits L_jl, and F = sum_j logsumexp_l L_jl +
     sum_k t_.k log pi_k + sum t log phi - sum t log t."""
     t = np.asarray(t, dtype=float)
-    logits = _col_logits(x.values, t, terms.eta, terms.softplus, terms.params.col_props)
+    logits = _col_logits(x.values, t, terms.predictors, terms.params.col_props)
     r, lognorm = _softmax_rows(logits)
     return r, lognorm + _row_terms(t, terms)
 
@@ -414,15 +409,16 @@ def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
     direction or room in the box. The blocks that stop in an iteration
     leave the active set together at the start of the next. Returns (beta,
     clamped, final): clamped marks binding boxes, and final (3, K, n) is
-    the _logistic of beta.
+    the _logistic of beta, in a new array: predictors are only read.
     """
     y_aug, pairs = y.augmented, y._aug_pairs
     q = y_aug.shape[1]
     beta = np.array(beta_init, dtype=float)
     # active state, so a retirement is three copies: pred (their _logistic;
-    # final itself until a step or retirement), data, and blk (A, 4 + 3q): the
+    # the warm start until a step or retirement), data, and blk (A, 4 + 3q): the
     # index, objective, mass, gradient scale, coefficients b, u and gradient
-    final = pred = np.array(predictors).reshape(3, beta.shape[0], -1)
+    pred = np.reshape(predictors, (3, beta.shape[0], -1))
+    final = np.empty_like(pred)
     u = (data[0] * data[1]) @ y_aug
     blk = np.column_stack([np.arange(beta.shape[0]), _objective(beta, u, data[0], pred[2], mass),
                            mass, 1.0 + mass * data[0].sum(axis=1), beta, u, np.zeros_like(beta)])
@@ -516,7 +512,7 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
     its coefficients at the warm start (its objective is identically
     zero). Returns (coefs, clamped, predictors): the (g,d,p+1) array, a
     (g,d) mask of binding separation guards, and the (3,g,d,n) _logistic
-    of coefs, as ParamTerms.of has it.
+    of coefs.
     """
     t = np.asarray(t, dtype=float)
     coefs = np.asarray(coefs, dtype=float)
@@ -538,7 +534,7 @@ def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:
     density once per row) and the entropies of t and r; 0 log 0 is 0.
     """
     t = np.asarray(t, dtype=float)
-    lin, base = _row_sums(t, terms.eta, terms.softplus)
+    lin, base = _row_sums(t, terms.predictors)
     bern = float(np.einsum("li,il->", lin, cols.xr)) - float(base @ cols.mass)
     return _row_terms(t, terms) + bern + _col_terms(cols, terms.params)
 
@@ -632,41 +628,45 @@ def _init_assignments(x, y, g, d, rng: np.random.Generator):
     return t, r
 
 
-def _row_m_step(y, t, cols: ColStats, coefs, predictors=None) -> ParamTerms:
-    """The row M-step as a ParamTerms: pi and rho from t and cols, the
-    Gaussian parameters, and m_step_beta warm-started from coefs (with
-    their predictors, if given)."""
+def _row_m_step(y, t, col_props, coefs, predictors) -> ParamTerms:
+    """The row M-step: pi, the means and the covariances in closed form
+    from t, beside the kept col_props, coefs and their predictors."""
     means, covs = m_step_gaussian(t, y)
-    coefs, _, pred = m_step_beta(y, t, cols, coefs, predictors)
-    params = ModelParams._adopt(_proportions(t), _proportions(cols.r), coefs, means, covs)
-    return ParamTerms(params, *pred, gaussian_cluster_logpdfs(y, params))
+    params = ModelParams._adopt(_proportions(t), col_props, coefs, means, covs)
+    return ParamTerms(params, predictors, gaussian_cluster_logpdfs(y, params))
+
+
+def _col_m_step(y, t, cols: ColStats, terms: ParamTerms) -> ParamTerms:
+    """The column M-step: rho from cols and m_step_beta warm-started from
+    terms, beside the kept pi, Gaussian parameters, factors and log-densities."""
+    kept = terms.params
+    coefs, _, pred = m_step_beta(y, t, cols, kept.coefs, terms.predictors)
+    params = ModelParams._adopt(kept.row_props, _proportions(cols.r), coefs, kept.means,
+                                kept.covs, kept.cov_chols)
+    return ParamTerms(params, pred, terms.logphi)
 
 
 def _single_fit(x, y, g, d, cfg: BemConfig, init) -> FitResult:
     """One block-EM run from the soft assignments init = (t, r)."""
     t, r = init
     cols = ColStats.of(x, r)
-    terms = _row_m_step(y, t, cols, np.zeros((g, d, y.p + 1)))
+    zeros = np.zeros((g, d, y.p + 1))
+    terms = _row_m_step(y, t, _proportions(cols.r), zeros, _logistic(zeros, y.augmented))
+    terms = _col_m_step(y, t, cols, terms)
     trace = [free_energy(t, cols, terms)]
     converged = False
     for n_iters in range(1, cfg.max_outer_iters + 1):
         t, f = row_e_step(cols, terms)
         trace.append(f)
 
-        terms = _row_m_step(y, t, cols, terms.params.coefs,
-                            (terms.eta, terms.exp_neg, terms.softplus))
+        terms = _row_m_step(y, t, terms.params.col_props, terms.params.coefs, terms.predictors)
         trace.append(free_energy(t, cols, terms))
 
         r, f = col_e_step(x, t, terms)
         cols = ColStats.of(x, r)
         trace.append(f)
 
-        row = terms.params
-        coefs, _, pred = m_step_beta(y, t, cols, row.coefs,
-                                     (terms.eta, terms.exp_neg, terms.softplus))
-        params = ModelParams._adopt(row.row_props, _proportions(cols.r), coefs, row.means, row.covs)
-        # same means and covariances: only eta and its softplus change
-        terms = ParamTerms(params, *pred, terms.logphi)
+        terms = _col_m_step(y, t, cols, terms)
         trace.append(free_energy(t, cols, terms))
 
         tol = cfg.free_energy_rel_tol
@@ -717,8 +717,8 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     if d < 2 or x.m < 4:
         return []
     w = result.assignments.col_probs.argmax(axis=1)
-    eta, e, sp = _logistic(result.params.coefs, y.augmented)
-    scores = _col_logits(x.values, t, eta, sp, result.params.col_props)
+    pred = _logistic(result.params.coefs, y.augmented)
+    scores = _col_logits(x.values, t, pred, result.params.col_props)
     moves = []
     for b in range(d):
         cols = np.nonzero(w == b)[0]
@@ -738,7 +738,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     weighted_aug = (t[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
 
     def score_feats(xs, target):
-        sig = _sigmoid(eta[:, target], e[:, target]).T
+        sig = _sigmoid(pred[0, :, target], pred[1, :, target]).T
         fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
         return (xs.values.T @ weighted_aug) / fisher.reshape(-1)
 
@@ -750,7 +750,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
         beta, pred = np.zeros((g, 2, aug.shape[1])), None
         for _ in range(3):
             beta, _, pred = m_step_beta(y, t, ColStats.of(xs, r), beta, pred)
-            r, _ = _softmax_rows(_col_logits(xs.values, t, pred[0], pred[2], np.ones(2)))
+            r, _ = _softmax_rows(_col_logits(xs.values, t, pred, np.ones(2)))
         return r.argmax(axis=1)
 
     candidates, labs = [], []

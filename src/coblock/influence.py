@@ -55,7 +55,6 @@ def influence_report(x: BinaryMatrix, y: CovariateTable, fit: FitResult) -> Infl
         )
     if labels.row_labels.max() > params.g or labels.col_labels.max() > params.d:
         raise ParamValidationError("labels refer to clusters beyond the parameter grid")
-    eta, _, sp = _logistic(params.coefs, y.augmented)
     onehot = np.eye(params.g)[labels.row_labels - 1]
-    scores = _col_logits(x.values, onehot, eta, sp, params.col_props)
+    scores = _col_logits(x.values, onehot, _logistic(params.coefs, y.augmented), params.col_props)
     return InfluenceReport(scores=scores[np.arange(x.m), labels.col_labels - 1])

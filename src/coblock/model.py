@@ -149,14 +149,19 @@ class ModelParams(_Value):
     covs: np.ndarray
 
     @classmethod
-    def _adopt(cls, row_props, col_props, coefs, means, covs) -> "ModelParams":
-        """Freeze float arrays known to be valid: no copy or check, only the Cholesky."""
+    def _adopt(cls, row_props, col_props, coefs, means, covs, cov_chols=None) -> "ModelParams":
+        """Freeze valid float arrays, no copy or check; factor covs unless cov_chols is given."""
         obj = object.__new__(cls)
-        for name, arr in zip(("row_props", "col_props", "coefs", "means", "covs", "cov_chols"),
-                             (row_props, col_props, coefs, means, covs, _cholesky(covs))):
-            arr.setflags(write=False)
-            object.__setattr__(obj, name, arr)
+        obj._store(row_props, col_props, coefs, means, covs,
+                   _cholesky(covs) if cov_chols is None else cov_chols)
         return obj
+
+    def _store(self, *arrays):
+        """Freeze the arrays of the five fields and cov_chols, in that order, and set them."""
+        names = ("row_props", "col_props", "coefs", "means", "covs", "cov_chols")
+        for name, arr in zip(names, arrays):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __post_init__(self):
         pi = _frozen(self.row_props)
@@ -195,15 +200,7 @@ class ModelParams(_Value):
             if np.any(skew > _SYMMETRY_TOL * np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))):
                 raise ParamValidationError("a covariance matrix is not symmetric")
 
-        chols = _cholesky(covs)
-        chols.setflags(write=False)
-
-        object.__setattr__(self, "row_props", pi)
-        object.__setattr__(self, "col_props", rho)
-        object.__setattr__(self, "coefs", coefs)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "cov_chols", chols)
+        self._store(pi, rho, coefs, means, covs, _cholesky(covs))
 
     @property
     def g(self) -> int:

@@ -29,6 +29,9 @@ because the package does not call them:
   - log_posterior_y_rowform and its row_part, the fixed-label joint
     log-likelihood grouped by rows, which must equal row_part plus the
     sum of all influence scores.
+  - param_terms, a coblock.bem.ParamTerms with every term computed
+    afresh from its parameters, which a fit never builds: it hands on
+    the terms its M-steps return.
 The exhaustive-enumeration oracles (exact log-likelihood and posterior
 mode) live in oracle.py.
 """
@@ -222,6 +225,12 @@ def log_posterior_y_rowform(
 
     rho_part = float(xlogy(m_l, params.col_props).sum())
     return bern + rho_part + row_part(y, params, z0)
+
+
+def param_terms(y: CovariateTable, params: ModelParams) -> bem.ParamTerms:
+    """The ParamTerms of params, all computed afresh."""
+    return bem.ParamTerms(params, bem._logistic(params.coefs, y.augmented),
+                          gaussian_cluster_logpdfs(y, params))
 
 
 def rand_params(rng: np.random.Generator, g: int, d: int, p: int,

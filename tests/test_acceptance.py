@@ -16,7 +16,6 @@ import pytest
 import coblock as cb
 from coblock.bem import (
     ColStats,
-    ParamTerms,
     free_energy,
     weighted_logistic_gradient,
     weighted_logistic_hessian,
@@ -26,7 +25,7 @@ from coblock.cli import main
 
 import timing_study
 from error_rate_study import run_point
-from helpers import rand_instance, rand_params, rand_soft
+from helpers import param_terms, rand_instance, rand_params, rand_soft
 from oracle import exact_loglik
 from selection_study import picks
 
@@ -54,7 +53,7 @@ def test_criterion_1_lower_bound(report):
         exact = exact_loglik(x, y, params)
         t = rand_soft(rng, n, 2)
         r = rand_soft(rng, m, 2)
-        fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+        fe = free_energy(t, ColStats.of(x, r), param_terms(y, params))
         worst = max(worst, fe - exact)
         res = cb.fit(x, y, 2, 2, cb.BemConfig(n_restarts=2, seed=int(rng.integers(2**31))))
         worst = max(worst, res.final_free_energy - exact_loglik(x, y, res.params))

@@ -12,12 +12,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import coblock as cb
-from coblock import bem
+from coblock import bem, model
 from coblock.bem import (
     BemConfig,
     ColStats,
     FitResult,
-    ParamTerms,
     col_e_step,
     fit,
     free_energy,
@@ -43,6 +42,7 @@ from helpers import (
     mp_exact_loglik,
     mp_row_posteriors,
     newton_block,
+    param_terms,
     rand_instance,
     rand_params,
     rand_soft,
@@ -83,7 +83,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         r = hard_soft(rng.integers(0, 2, size=2), 2)
-        got, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        got, _ = row_e_step(ColStats.of(x, r), param_terms(y, params))
         want = mp_row_posteriors(x, y, r, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -93,7 +93,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 2, 2, 1)
         params = rand_params(rng, 2, 2, 1)
         t = rand_soft(rng, 2, 2)
-        got, _ = col_e_step(x, t, ParamTerms.of(y, params))
+        got, _ = col_e_step(x, t, param_terms(y, params))
         want = mp_col_posteriors(x, y, t, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestEStepsAgainstReference:
         x, y = rand_instance(rng, 3, 3, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 3, 2)
-        got, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        got, _ = row_e_step(ColStats.of(x, r), param_terms(y, params))
         want = mp_row_posteriors(x, y, r, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -117,7 +117,7 @@ class TestEStepFreeEnergy:
         n, m = int(rng.integers(2, 30)), int(rng.integers(2, 15))
         g, d, p = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
         x, y = rand_instance(rng, n, m, p)
-        terms = ParamTerms.of(y, rand_params(rng, g, d, p, coef_scale=3.0))
+        terms = param_terms(y, rand_params(rng, g, d, p, coef_scale=3.0))
         cols = ColStats.of(x, rand_soft(rng, m, d))
         t, f_row = row_e_step(cols, terms)
         want = free_energy(t, cols, terms)
@@ -184,7 +184,7 @@ class TestEStepStructure:
         rng = np.random.default_rng(0)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 1, 2, 1)
-        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), param_terms(y, params))
         np.testing.assert_array_equal(t, np.ones((6, 1)))
 
     def test_identical_clusters_are_indifferent(self):
@@ -198,14 +198,14 @@ class TestEStepStructure:
             means=np.tile(base.means, (2, 1)),
             covs=np.tile(base.covs, (2, 1, 1)),
         )
-        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), ParamTerms.of(y, params))
+        t, _ = row_e_step(ColStats.of(x, rand_soft(rng, 5, 2)), param_terms(y, params))
         np.testing.assert_allclose(t, 0.5, atol=1e-12)
 
     def test_single_column_cluster_is_certain(self):
         rng = np.random.default_rng(2)
         x, y = rand_instance(rng, 6, 5, 1)
         params = rand_params(rng, 2, 1, 1)
-        r, _ = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
+        r, _ = col_e_step(x, rand_soft(rng, 6, 2), param_terms(y, params))
         np.testing.assert_array_equal(r, np.ones((5, 1)))
 
     def test_identical_column_clusters_are_indifferent(self):
@@ -219,7 +219,7 @@ class TestEStepStructure:
             means=base.means,
             covs=base.covs,
         )
-        r, _ = col_e_step(x, rand_soft(rng, 6, 2), ParamTerms.of(y, params))
+        r, _ = col_e_step(x, rand_soft(rng, 6, 2), param_terms(y, params))
         np.testing.assert_allclose(r, 0.5, atol=1e-12)
 
     def test_pure_function_is_idempotent(self):
@@ -227,8 +227,8 @@ class TestEStepStructure:
         x, y = rand_instance(rng, 8, 6, 1)
         params = rand_params(rng, 2, 2, 1)
         r = rand_soft(rng, 6, 2)
-        t1, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
-        t2, _ = row_e_step(ColStats.of(x, r), ParamTerms.of(y, params))
+        t1, _ = row_e_step(ColStats.of(x, r), param_terms(y, params))
+        t2, _ = row_e_step(ColStats.of(x, r), param_terms(y, params))
         np.testing.assert_allclose(t1, t2, atol=1e-12)
 
 
@@ -433,6 +433,23 @@ class TestStackedNewton:
                 np.testing.assert_array_equal(got, want)
         assert y._aug_pairs is pairs
 
+    def test_read_only_warm_start_is_read_in_place(self):
+        # the stack reads the predictors it is handed without copying them
+        # and writes its result into an array of its own: a frozen warm
+        # start gives the bits of predictors=None and is left as it was
+        rng = np.random.default_rng(42)
+        x, y = rand_instance(rng, 30, 10, 2)
+        t, cols = rand_soft(rng, 30, 2), ColStats.of(x, rand_soft(rng, 10, 3))
+        beta0 = rng.normal(size=(2, 3, 3))
+        warm = bem._logistic(beta0, y.augmented)
+        warm.setflags(write=False)
+        before = warm.copy()
+        got = m_step_beta(y, t, cols, beta0, warm)
+        for want, have in zip(m_step_beta(y, t, cols, beta0), got):
+            np.testing.assert_array_equal(have, want)
+        np.testing.assert_array_equal(warm, before)
+        assert not np.shares_memory(got[2], warm)
+
     def test_block_at_its_optimum_stops_without_halving(self, monkeypatch):
         # with no gradient stop, a block at its optimum is left with a
         # Newton step whose predicted gain is round-off; when that step
@@ -477,7 +494,7 @@ class TestFreeEnergy:
         x, y = rand_instance(rng, 5, 4, 1)
         params = rand_params(rng, 1, 1, 1)
         t, r = np.ones((5, 1)), np.ones((4, 1))
-        fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+        fe = free_energy(t, ColStats.of(x, r), param_terms(y, params))
         assert fe == pytest.approx(exact_loglik(x, y, params), abs=1e-10)
 
     def test_uniform_rows_add_coin_entropy(self):
@@ -494,7 +511,7 @@ class TestFreeEnergy:
             covs=np.tile(base.covs, (2, 1, 1)),
         )
         r = np.ones((4, 1))
-        cols, terms = ColStats.of(x, r), ParamTerms.of(y, params)
+        cols, terms = ColStats.of(x, r), param_terms(y, params)
         f_hard = free_energy(hard_soft([0] * 5, 2), cols, terms)
         f_unif = free_energy(np.full((5, 2), 0.5), cols, terms)
         assert f_unif - f_hard == pytest.approx(5 * np.log(2.0), abs=1e-9)
@@ -506,7 +523,7 @@ class TestFreeEnergy:
             params = rand_params(rng, 2, 2, 1)
             t = rand_soft(rng, 4, 2)
             r = rand_soft(rng, 4, 2)
-            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+            fe = free_energy(t, ColStats.of(x, r), param_terms(y, params))
             assert fe <= exact_loglik(x, y, params) + 1e-9
 
     def test_label_switching_invariance(self):
@@ -524,8 +541,8 @@ class TestFreeEnergy:
             means=params.means[pg],
             covs=params.covs[pg],
         )
-        a = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
-        b = free_energy(t[:, pg], ColStats.of(x, r[:, pd]), ParamTerms.of(y, swapped))
+        a = free_energy(t, ColStats.of(x, r), param_terms(y, params))
+        b = free_energy(t[:, pg], ColStats.of(x, r[:, pd]), param_terms(y, swapped))
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -692,19 +709,57 @@ class TestFit:
         assert len(calls) <= res.n_iters + 1
 
     def test_terms_come_from_the_accepted_predictors(self, monkeypatch):
-        # each sweep hands the predictors m_step_beta accepted to the next
-        # ParamTerms; none is computed again from the coefficients
+        # each ParamTerms a sweep reads holds the very predictors array
+        # m_step_beta returned; none is computed again from the coefficients
         truth = cb.separated_params(2, 2, p=1, seed=3)
         sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
-        calls = []
-        inner = bem.ParamTerms.of
-        monkeypatch.setattr(bem.ParamTerms, "of",
-                            classmethod(lambda cls, *a, **k: calls.append(1) or inner(*a, **k)))
+        returned, seen = [], []
+        inner_beta, inner_fe = bem.m_step_beta, bem.free_energy
+
+        def recording(*args):
+            out = inner_beta(*args)
+            returned.append(out[2])
+            return out
+
+        monkeypatch.setattr(bem, "m_step_beta", recording)
+        monkeypatch.setattr(
+            bem, "free_energy", lambda t, cols, terms: seen.append(terms) or inner_fe(t, cols, terms)
+        )
         cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
                         max_outer_iters=8)
         res = fit(sim.x, sim.y, 2, 2, cfg)
         assert res.n_iters == 8
-        assert calls == []
+        assert len(seen) == 1 + 2 * res.n_iters
+        for terms in seen:
+            assert any(terms.predictors is pred for pred in returned)
+
+    def test_one_logistic_solve_per_sweep(self, monkeypatch):
+        # the row M-step keeps the coefficients, so m_step_beta runs once
+        # at the start and once per sweep, in the column M-step
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        calls = []
+        inner = bem.m_step_beta
+        monkeypatch.setattr(bem, "m_step_beta", lambda *a: calls.append(1) or inner(*a))
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
+                        max_outer_iters=8)
+        res = fit(sim.x, sim.y, 2, 2, cfg)
+        assert res.n_iters == 8
+        assert len(calls) == res.n_iters + 1
+
+    def test_one_cholesky_per_gaussian_fit(self, monkeypatch):
+        # the column M-step keeps the row M-step's covariances and hands
+        # their factors on, so each Gaussian fit is factored once
+        truth = cb.separated_params(2, 3, p=2, seed=3)
+        sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+        calls = []
+        inner = model._cholesky
+        monkeypatch.setattr(model, "_cholesky", lambda cov: calls.append(1) or inner(cov))
+        cfg = BemConfig(n_restarts=1, split_merge_rounds=0, seed=1, free_energy_rel_tol=0.0,
+                        max_outer_iters=8)
+        res = fit(sim.x, sim.y, 2, 3, cfg)
+        assert res.n_iters == 8
+        assert len(calls) == res.n_iters + 1
 
     def test_adopted_params_pass_validation(self, monkeypatch):
         # the fitting loop builds its ModelParams by _adopt, which skips the
@@ -725,9 +780,11 @@ class TestFit:
                 np.testing.assert_array_equal(getattr(rebuilt, name), getattr(adopted, name))
 
     def test_column_m_step_terms_equal_fresh_terms(self, monkeypatch):
-        # the column M-step's ParamTerms reuses the row M-step's Gaussian
-        # log-densities; every ParamTerms a sweep reads must equal one
-        # built afresh from its parameters
+        # the column M-step's ParamTerms keeps the row M-step's Gaussian
+        # parameters and log-densities, and the row M-step's keeps the
+        # coefficients and predictors of the column M-step before it;
+        # every ParamTerms a sweep reads must equal one built afresh from
+        # its parameters
         truth = cb.separated_params(2, 3, p=2, seed=3)
         sim = cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
         seen = []
@@ -745,10 +802,17 @@ class TestFit:
         assert len(seen) == 1 + 2 * res.n_iters
         pairs = list(zip(seen[1::2], seen[2::2]))
         assert all(col_m.logphi is row_m.logphi for row_m, col_m in pairs)
-        assert any(not np.array_equal(col_m.eta, row_m.eta) for row_m, col_m in pairs)
+        for row_m, col_m in pairs:
+            for name in ("row_props", "means", "covs", "cov_chols"):
+                assert getattr(col_m.params, name) is getattr(row_m.params, name), name
+        for col_m, row_m in zip(seen[0::2], seen[1::2]):
+            assert row_m.params.coefs is col_m.params.coefs
+            assert row_m.predictors is col_m.predictors
+            assert row_m.params.col_props is col_m.params.col_props
+        assert any(not np.array_equal(col_m.predictors, row_m.predictors) for row_m, col_m in pairs)
         for terms in seen:
-            fresh = ParamTerms.of(sim.y, terms.params)
-            for name in ("eta", "exp_neg", "softplus", "logphi"):
+            fresh = param_terms(sim.y, terms.params)
+            for name in ("predictors", "logphi"):
                 assert np.array_equal(getattr(terms, name), getattr(fresh, name)), name
 
     def test_free_energy_drop_message_prints_plain_floats(self):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from coblock.bem import ColStats, ParamTerms, free_energy
+from coblock.bem import ColStats, free_energy
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams
 from helpers import (
     bernoulli_link_logpdf,
     mp_exact_loglik,
     mp_gauss_logpdf,
+    param_terms,
     rand_instance,
     rand_params,
     rand_soft,
@@ -90,7 +91,7 @@ class TestExactLoglik:
             params = rand_params(rng, 2, 2, 1)
             ll = exact_loglik(x, y, params)
             t, r = rand_soft(rng, 4, 2), rand_soft(rng, 4, 2)
-            fe = free_energy(t, ColStats.of(x, r), ParamTerms.of(y, params))
+            fe = free_energy(t, ColStats.of(x, r), param_terms(y, params))
             assert fe <= ll + 1e-9
 
     def test_cluster_relabeling_invariance(self):
