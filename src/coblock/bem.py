@@ -15,7 +15,8 @@ the ridge term added to covariance estimates).
 
 The per-block logistic fits are damped Newton-Raphson solves of a
 weighted binomial log-likelihood, run for all g*d blocks at once as one
-stack in which each block keeps its own stopping and step rules; linear
+stack in which each block keeps its own stopping and step rules (a block
+that has stopped stays in the stack with zero steps); linear
 predictors are kept inside a box so complete separation cannot push
 coefficients to infinity. The kernels take a leading block axis; the
 public weighted_logistic_* run them on one. One exponential per
@@ -397,106 +398,85 @@ def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
 
     Block b is row b of the weights data[0] and counts data[1] (K, n),
     mass (K,), beta_init (K, q) and predictors, the _logistic of beta_init
-    as (3, K, n). Each accepted candidate keeps its exponential, which
-    gives the next sigmoid. A block stops once its gradient is below
-    _NR_GRAD_TOL times its Bernoulli mass (so the iteration count does not
-    grow with n). A full step that would take a predictor out of
-    [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is cut to the box's edge; one
-    that does not ascend is halved until the objective does not decrease
-    (at most 60 tries, never below a relative step of 1e-15), unless its
-    predicted gain step * grad . delta is within _ROUND_OFF_ULPS ulps of
-    the objective's terms: then the block stops where it is, as without a
-    direction or room in the box. The blocks that stop in an iteration
-    leave the active set together at the start of the next. Returns (beta,
-    clamped, final): clamped marks binding boxes, and final (3, K, n) is
-    the _logistic of beta, in a new array: predictors are only read.
+    as (3, K, n), which is only read. A block stops once its gradient is
+    below _NR_GRAD_TOL times its Bernoulli mass (so the iteration count
+    does not grow with n), or where it has no direction, no room in the box
+    or no ascending step: a full step that would take a predictor out of
+    [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is cut to the box's edge, and one
+    that does not ascend is halved (at most 60 tries, never below a relative
+    step of 1e-15) unless its predicted gain step * grad . delta is within
+    _ROUND_OFF_ULPS ulps of the objective's terms. There is no active set: a
+    stopped block stays in the stack with a zero step, its system I delta = 0.
+    Returns (beta, clamped, pred): clamped marks binding boxes, and pred is
+    the _logistic of beta, in an array of its own.
     """
     y_aug, pairs = y.augmented, y._aug_pairs
-    q = y_aug.shape[1]
+    w, c = data
     beta = np.array(beta_init, dtype=float)
-    # active state, so a retirement is three copies: pred (their _logistic;
-    # the warm start until a step or retirement), data, and blk (A, 4 + 3q): the
-    # index, objective, mass, gradient scale, coefficients b, u and gradient
-    pred = np.reshape(predictors, (3, beta.shape[0], -1))
-    final = np.empty_like(pred)
-    u = (data[0] * data[1]) @ y_aug
-    blk = np.column_stack([np.arange(beta.shape[0]), _objective(beta, u, data[0], pred[2], mass),
-                           mass, 1.0 + mass * data[0].sum(axis=1), beta, u, np.zeros_like(beta)])
-    B, U, G = slice(4, 4 + q), slice(4 + q, 4 + 2 * q), slice(4 + 2 * q, None)
-    halted = np.zeros(beta.shape[0], dtype=bool)
-
-    def retire(keep):
-        """Store the blocks not in keep and drop them from the active set."""
-        nonlocal pred, data, blk
-        gone = ~keep
-        ids = blk[gone, 0].astype(np.intp)
-        beta[ids] = blk[gone, B]
-        final[:, ids] = pred[:, gone]
-        pred, data, blk = pred[:, keep], data[:, keep], blk[keep]
-
+    pred = start = np.reshape(predictors, (3, beta.shape[0], -1))
+    u = (w * c) @ y_aug
+    obj = _objective(beta, u, w, pred[2], mass)
+    grad_tol = _NR_GRAD_TOL * (1.0 + mass * w.sum(axis=1))
+    done = np.zeros(beta.shape[0], dtype=bool)
     for _ in range(_NR_MAX_ITERS):
         sig = _sigmoid(pred[0], pred[1])
-        blk[:, G] = _gradient(sig, y_aug, data[0], data[1], blk[:, 2:3])
-        keep = ~halted & (np.max(np.abs(blk[:, G]), axis=1) >= _NR_GRAD_TOL * blk[:, 3])
-        if not keep.all():
-            retire(keep)
-            if not blk.shape[0]:
-                break
-            sig = sig[keep]  # the Hessian below reads the kept blocks' sigmoid
-        eta, (w, c) = pred[0], data
-        obj, tm, b, u, grad = blk[:, 1], blk[:, 2], blk[:, B], blk[:, U], blk[:, G]
-        delta = _solve_boosted(_neg_hessian(sig, w, tm[:, None], pairs), grad)
-        # no direction: a zero step keeps the block in place until it retires
-        halted = ~np.all(np.isfinite(delta), axis=1)
-        delta[halted] = 0.0
-        cand = b + delta
+        grad = _gradient(sig, y_aug, w, c, mass[:, None])
+        done |= ~(np.max(np.abs(grad), axis=1) >= grad_tol)
+        if done.all():
+            break
+        neg_h = _neg_hessian(sig, w, mass[:, None], pairs)
+        neg_h[done], grad[done] = np.eye(beta.shape[1]), 0.0
+        delta = _solve_boosted(neg_h, grad)
+        # no direction: a zero step, and the block stops
+        done |= ~np.all(np.isfinite(delta), axis=1)
+        delta[done] = 0.0
+        cand = beta + delta
         cand_pred = _logistic(cand, y_aug)
-        step = np.ones(b.shape[0])
+        step = np.ones(beta.shape[0])
         reach = np.maximum(cand_pred[0].max(axis=1), -cand_pred[0].min(axis=1))
         leave = np.flatnonzero(reach > _PREDICTOR_BOUND)
         if leave.size:
             # largest step that keeps every predictor inside the box (0: none)
             deta = _predictors(delta[leave], y_aug.T)
-            caps = np.divide(_PREDICTOR_BOUND - np.sign(deta) * eta[leave], np.abs(deta),
+            caps = np.divide(_PREDICTOR_BOUND - np.sign(deta) * pred[0, leave], np.abs(deta),
                              out=np.full(deta.shape, np.inf), where=deta != 0)
             step[leave] = np.maximum(np.minimum(1.0, caps.min(axis=1)), 0.0)
-            halted[leave[step[leave] == 0.0]] = True
-            cand[leave] = b[leave] + step[leave, None] * delta[leave]
+            done[leave[step[leave] == 0.0]] = True
+            cand[leave] = beta[leave] + step[leave, None] * delta[leave]
             cand_pred[:, leave] = _logistic(cand[leave], y_aug)
-        cand_obj = _objective(cand, u, w, cand_pred[2], tm)
+        cand_obj = _objective(cand, u, w, cand_pred[2], mass)
         up = cand_obj >= obj
         if up.all():
-            pred = cand_pred
-            b[...], obj[...] = cand, cand_obj
+            pred, beta[...], obj[...] = cand_pred, cand, cand_obj
             continue
         failed = np.flatnonzero(~up)
         cand_pred[:, failed] = pred[:, failed]
         pred = cand_pred
-        b[up], obj[up] = cand[up], cand_obj[up]
+        beta[up], obj[up] = cand[up], cand_obj[up]
         # a failed block stops unless a halved step ascends, and is not halved where
         # the predicted gain is below the round-off of u.b - tm * sum w sp
-        halted[failed] = True
+        done[failed] = True
         gain = step[failed] * np.einsum("kq,kq->k", grad[failed], delta[failed])
-        size = (np.abs(np.einsum("kq,kq->k", u[failed], b[failed]))
-                + tm[failed] * np.einsum("kn,kn->k", w[failed], pred[2, failed]))
+        size = (np.abs(np.einsum("kq,kq->k", u[failed], beta[failed]))
+                + mass[failed] * np.einsum("kn,kn->k", w[failed], pred[2, failed]))
         trying = failed[gain > _ROUND_OFF_ULPS * np.finfo(float).eps * size]
-        dmax, bref = np.max(np.abs(delta), axis=1), 1.0 + np.max(np.abs(b), axis=1)
+        dmax, bref = np.max(np.abs(delta), axis=1), 1.0 + np.max(np.abs(beta), axis=1)
         for _ in range(59):
             step[trying] *= 0.5
             trying = trying[step[trying] * dmax[trying] >= 1e-15 * bref[trying]]
             if not trying.size:
                 break
-            cand = b[trying] + step[trying, None] * delta[trying]
+            cand = beta[trying] + step[trying, None] * delta[trying]
             cand_pred = _logistic(cand, y_aug)
-            cand_obj = _objective(cand, u[trying], w[trying], cand_pred[2], tm[trying])
+            cand_obj = _objective(cand, u[trying], w[trying], cand_pred[2], mass[trying])
             up = cand_obj >= obj[trying]
             hit = trying[up]
-            pred[:, hit], b[hit], obj[hit] = cand_pred[:, up], cand[up], cand_obj[up]
-            halted[hit] = False
+            pred[:, hit], beta[hit], obj[hit] = cand_pred[:, up], cand[up], cand_obj[up]
+            done[hit] = False
             trying = trying[~up]
 
-    retire(np.zeros(blk.shape[0], dtype=bool))
-    return beta, np.abs(final[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6, final
+    pred = pred.copy() if pred is start else pred
+    return beta, np.abs(pred[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6, pred
 
 
 def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
@@ -801,6 +781,13 @@ def _gains(new: FitResult, old: FitResult | None) -> bool:
     return new.final_free_energy - ref > _TRACE_SLACK * abs(ref)
 
 
+def _check_cluster_counts(n: int, m: int, g: int, d: int) -> None:
+    if not (1 <= g <= n) or not (1 <= d <= m):
+        raise ParamValidationError(
+            f"need 1 <= g <= n and 1 <= d <= m, got g={g}, d={d}, n={n}, m={m}"
+        )
+
+
 def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | None = None) -> FitResult:
     """Best-of-restarts block-EM fit with g row and d column clusters.
 
@@ -817,10 +804,7 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
         cfg = BemConfig()
     if x.n != y.n:
         raise DimensionMismatch(f"x has {x.n} rows but y has {y.n}")
-    if not (1 <= g <= x.n) or not (1 <= d <= x.m):
-        raise ParamValidationError(
-            f"need 1 <= g <= n and 1 <= d <= m, got g={g}, d={d}, n={x.n}, m={x.m}"
-        )
+    _check_cluster_counts(x.n, x.m, g, d)
     best = last_error = None
     seq = np.random.SeedSequence(cfg.seed)
     inits = (_init_assignments(x, y, g, d, np.random.default_rng(child))

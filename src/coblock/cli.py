@@ -14,7 +14,8 @@ Each writes manifest.json with the keys "command", "version", the
 arguments it echoes, "config" (the BemConfig; not for simulate) and its
 results, in that order, from one writer (_manifest).
 Errors exit with status 1 and a one-line diagnostic on stderr; unusable
-counts, tolerances, seeds and ranges are reported before any file is read.
+counts, tolerances, seeds and ranges are reported before any file is read,
+and every entry of benchmark's lists before the first fit is timed.
 fit, select and influence create --out once their input has loaded and
 before they fit, so an --out that cannot be made fails before the work;
 a fit that fails after that point leaves the directory behind.
@@ -34,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .bem import BemConfig, fit
+from .bem import BemConfig, _check_cluster_counts, fit
 from .dataio import (
     load_dataset,
     read_params_json,
@@ -213,14 +214,19 @@ def _cmd_benchmark(args) -> int:
     # for exactly --max-iters sweeps, and refinement refits would add a
     # data-dependent number of extra fits and muddy the n-scaling
     cfg = _bem_config(args, free_energy_rel_tol=0.0, split_merge_rounds=0)
+    # every list entry is checked before the first fit is timed
+    truths = {d: separated_params(args.g, d, p=1, seed=args.seed) for d in d_values}
+    for n in n_values:
+        for d in d_values:
+            SimConfig(n=n, m=args.m, params=truths[d], seed=args.seed)
+            _check_cluster_counts(n, args.m, args.g, d)
     rows = []
     draw = 0
     for d in d_values:
-        truth = separated_params(args.g, d, p=1, seed=args.seed)
         for n in n_values:
             for rep in range(args.reps):
                 draw += 1
-                sim = generate(SimConfig(n=n, m=args.m, params=truth, seed=args.seed + draw))
+                sim = generate(SimConfig(n=n, m=args.m, params=truths[d], seed=args.seed + draw))
                 t0 = time.perf_counter()
                 result = fit(sim.x, sim.y, args.g, d, cfg)
                 seconds = time.perf_counter() - t0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bem import BemConfig, FitResult, fit
+from .bem import BemConfig, FitResult, _check_cluster_counts, fit
 from .errors import AllRestartsFailed, ParamValidationError
 from .model import BinaryMatrix, CovariateTable
 
@@ -90,6 +90,8 @@ def select(
     Each cell gets its own deterministic seed derived from cfg.seed, so
     the whole grid is reproducible and cells are independent. A cell
     whose restarts all fail is recorded under failures and excluded.
+    Every pair is checked against the data's shape, as fit checks it,
+    before the first cell is fitted.
     """
     if cfg is None:
         cfg = BemConfig()
@@ -99,6 +101,8 @@ def select(
         raise ParamValidationError("g_range and d_range must be non-empty")
 
     pairs = [(g, d) for g in g_values for d in d_values]
+    for g, d in pairs:
+        _check_cluster_counts(x.n, x.m, g, d)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(len(pairs), dtype=np.uint64)
     entries = {}
     failures = {}

@@ -473,6 +473,35 @@ class TestStackedNewton:
             assert len(evals) <= 1 + bem._NR_MAX_ITERS, seed
             np.testing.assert_allclose(got[0, 0], best, rtol=0, atol=1e-10)
 
+    def test_stopped_blocks_take_a_zero_step(self, monkeypatch):
+        # a stopped block stays in the stack: a zero-mass column cluster and
+        # a block started at its optimum come back with the bits they were
+        # handed while the other blocks step, and no solve sees a singular system
+        ranks = []
+        inner = bem._solve_boosted
+
+        def solve(neg_h, grad):
+            ranks.append(np.linalg.matrix_rank(neg_h).tolist())
+            return inner(neg_h, grad)
+
+        monkeypatch.setattr(bem, "_solve_boosted", solve)
+        rng = np.random.default_rng(43)
+        x, y = rand_instance(rng, 60, 12, 1)
+        t, r = rand_soft(rng, 60, 2), hard_soft([0] * 6 + [1] * 6, 3)
+        xr = x.values @ r
+        beta0 = rng.normal(size=(2, 3, 2))
+        beta0[0, 0], _ = newton_block(y.augmented, t[:, 0], xr[:, 0], 6.0, beta0[0, 0])
+        warm = bem._logistic(beta0, y.augmented)
+        warm.setflags(write=False)
+        got, _, pred = m_step_beta(y, t, ColStats.of(x, r), beta0, warm)
+        kept = [(0, 0), (0, 2), (1, 2)]
+        for k, l in kept:
+            np.testing.assert_array_equal(got[k, l], beta0[k, l])
+            np.testing.assert_array_equal(pred[:, k, l], warm[:, k, l])
+        assert all(not np.array_equal(got[kl], beta0[kl]) for kl in [(0, 1), (1, 0), (1, 1)])
+        assert len(ranks) >= 3
+        assert all(rank == 2 for stack in ranks for rank in stack), ranks
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_identifiable_stacks(self, seed, monkeypatch):
         rng = np.random.default_rng(500 + seed)

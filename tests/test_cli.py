@@ -320,6 +320,21 @@ class TestErrors:
         assert err.startswith("error: need g >= 1") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("lists, message", [
+        (["--n-list", "30,0"], "need n >= 1 and m >= 1, got n=0, m=100"),
+        (["--n-list", "30", "--d-list", "2,0"], "need g >= 1 row clusters, d >= 1"),
+        (["--n-list", "30,1"], "need 1 <= g <= n and 1 <= d <= m, got g=2, d=2, n=1, m=100"),
+    ], ids=["n", "d", "g-above-n"])
+    def test_benchmark_rejects_every_entry_before_timing(self, tmp_path, capsys, lists, message):
+        # the usable n = 30 entry comes first; nothing is timed before the error
+        out = tmp_path / "out"
+        rc = main(["benchmark", *lists, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert "benchmark n=" not in captured.out
+        assert not out.exists()
+
     def test_simulate_rejects_nan_proportions(self, tmp_path, capsys):
         # json reads NaN; a NaN proportion must not reach the sampler
         write_params_json(tmp_path / "p.json", cb.separated_params(2, 2, p=1, seed=2))

@@ -1,12 +1,13 @@
 """BIC-style criterion and the (g, d) grid search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import coblock as cb
-from coblock import bem
+from coblock import bem, selection
 from coblock.bem import BemConfig
 from coblock.errors import ParamValidationError
 from coblock.model import ModelParams
@@ -134,3 +135,13 @@ class TestSelect:
         sim = self.one_block_data()
         with pytest.raises(ParamValidationError):
             select(sim.x, sim.y, [], [1], BemConfig())
+
+    def test_rejects_cells_beyond_the_data_before_fitting(self, monkeypatch):
+        # d = 13 > m = 12: the error fit would raise, before any cell is fitted
+        calls, fit = [], selection.fit
+        monkeypatch.setattr(selection, "fit", lambda *a: calls.append(a) or fit(*a))
+        sim = cb.generate(cb.SimConfig(n=40, m=12, params=cb.separated_params(2, 2), seed=3))
+        message = "need 1 <= g <= n and 1 <= d <= m, got g=1, d=13, n=40, m=12"
+        with pytest.raises(ParamValidationError, match=re.escape(message)):
+            select(sim.x, sim.y, range(1, 3), range(1, 14))
+        assert calls == []
