@@ -1,4 +1,4 @@
-"""SHA-256 of every file the CLI writes on four fixed workloads.
+"""SHA-256 of every file the CLI writes on five fixed workloads.
 
 Runs, in process and with relative paths inside a fresh temporary
 directory:
@@ -8,7 +8,11 @@ directory:
   - three covariates, so the multivariate Gaussian path runs: `simulate`
     (n=40, m=12), then `fit`, `select` and `influence` on its files;
   - four column clusters, so split-merge runs with d >= 3 and keeps a
-    move: `simulate` (n=40, m=16), then `fit --d 4`.
+    move: `simulate` (n=40, m=16), then `fit --d 4`;
+  - five column clusters at 1500x300: `simulate`, then `fit --d 5
+    --restarts 4`. Split-merge there scores and sharpens proper subsets
+    of the columns at sizes where BLAS blocks its products, so a change
+    in how those products are formed shows in the bytes.
 It writes one "digest  path" line per output file, sorted by path, to
 OUT. timing.csv holds wall-clock times and is left out. BLAS is pinned
 to one thread so the bytes do not depend on thread scheduling.
@@ -81,6 +85,13 @@ D4 = [
      "--g", "2", "--d", "4", "--out", "d4/fit"],
 ]
 
+D5 = [
+    ["simulate", "--params", "d5/truth.json", "--n", "1500", "--m", "300",
+     "--out", "d5/sim", "--seed", "9"],
+    ["fit", "--x", "d5/sim/x.csv", "--y", "d5/sim/y.csv", "--restarts", "4", "--seed", "1",
+     "--g", "2", "--d", "5", "--out", "d5/fit"],
+]
+
 
 def digests(root: Path):
     for path in sorted(root.rglob("*")):
@@ -106,10 +117,11 @@ def main() -> int:
                 ("wide", cb.separated_params(2, 2, p=1, mean_scale=10.0)),
                 ("p3", cb.separated_params(2, 2, p=3, seed=3)),
                 ("d4", cb.separated_params(2, 4, p=1, seed=1)),
+                ("d5", cb.separated_params(2, 5, p=1, mean_scale=10.0)),
             ):
                 Path(name).mkdir()
                 write_params_json(Path(name) / "truth.json", truth)
-            for argv in FIXTURE + WIDE + P3 + D4:
+            for argv in FIXTURE + WIDE + P3 + D4 + D5:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main(argv)
                 if code != 0:

@@ -581,6 +581,11 @@ def _soft_from_hard(labels: np.ndarray, k: int) -> np.ndarray:
     return probs
 
 
+def _weighted_col_sums(x: BinaryMatrix, weights, aug) -> np.ndarray:
+    """x^T (weights (x) aug), (m, k*q): entry [j, k*q + c] is sum_i x_ij weights_ik aug_ic."""
+    return x.values.T @ (weights[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
+
+
 def _init_assignments(x, y, g, d, rng: np.random.Generator):
     """Starting soft assignments for one restart.
 
@@ -591,18 +596,11 @@ def _init_assignments(x, y, g, d, rng: np.random.Generator):
     """
     row_feats = _standardize(np.hstack([y.values, x.values.mean(axis=1, keepdims=True)]))
     z0 = _lloyd(row_feats, g, rng)
-    blocks = []
-    for k in range(g):
-        mask = z0 == k
-        if mask.any():
-            xk = x.values[mask]
-            yk = y.values[mask] - y.values[mask].mean(axis=0)
-            blocks.append(xk.mean(axis=0)[:, None])
-            blocks.append(xk.T @ yk / mask.sum())
-        else:
-            blocks.append(np.zeros((x.m, 1)))
-            blocks.append(np.zeros((x.m, y.p)))
-    col_feats = _standardize(np.hstack(blocks))
+    onehot = np.eye(g)[z0]
+    weights = onehot / np.maximum(onehot.sum(axis=0), 1.0)
+    aug = y.augmented.copy()
+    aug[:, 1:] -= (weights.T @ y.values)[z0]
+    col_feats = _standardize(_weighted_col_sums(x, weights, aug))
     t = _soft_from_hard(z0, g)
     r = _soft_from_hard(_lloyd(col_feats, d, rng), d)
     return t, r
@@ -691,6 +689,8 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     deviations are unit-scale noise for every block, so the ranking is
     not hijacked by mid-scale blocks' larger binomial variance, and
     clusters differing only through covariate slopes still separate.
+    Targets take their rows of one product with x per call, and sharpen
+    on all of x with the other columns weighing 0: no column is copied.
     """
     t = result.assignments.row_probs
     d = result.assignments.col_probs.shape[1]
@@ -713,49 +713,43 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
 
     aug = y.augmented
     g = t.shape[1]
+    sums = _weighted_col_sums(x, t, aug)
 
-    # row-cluster-weighted predictors, (n, g*q) in row-cluster-major order
-    weighted_aug = (t[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
-
-    def score_feats(xs, target):
+    def score_feats(cols, target):
         sig = _sigmoid(pred[0, :, target], pred[1, :, target]).T
         fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
-        return (xs.values.T @ weighted_aug) / fisher.reshape(-1)
+        return sums[cols] / fisher.reshape(-1)
 
-    def sharpen(xs, halves):
-        """Three rounds of two-block column EM on the columns xs, row posteriors
-        fixed, mixing weights uniform (log rho = 0); purifies a noisy 2-means
-        nucleation so the global refit does not wash the split back out."""
-        r = _soft_from_hard(halves, 2)
+    def sharpen(cols, halves):
+        """Three rounds of two-block column EM on the columns cols (the rest of
+        x weighs 0), row posteriors fixed, mixing weights uniform (log rho = 0);
+        purifies a noisy 2-means nucleation so the refit does not wash it out."""
+        r = np.zeros((x.m, 2))
+        r[cols] = _soft_from_hard(halves, 2)
         beta, pred = np.zeros((g, 2, aug.shape[1])), None
         for _ in range(3):
-            beta, _, pred = m_step_beta(y, t, ColStats.of(xs, r), beta, pred)
-            r, _ = _softmax_rows(_col_logits(xs.values, t, pred, np.ones(2)))
-        return r.argmax(axis=1)
+            beta, _, pred = m_step_beta(y, t, ColStats.of(x, r), beta, pred)
+            r[cols], _ = _softmax_rows(_col_logits(x.values, t, pred, np.ones(2))[cols])
+        return r[cols].argmax(axis=1)
 
     candidates, labs = [], []
     for _, b, a in moves[:_SPLIT_MERGE_MOVES]:
         merged = w.copy()
         merged[merged == b] = a
         ranked = []
-        feats = {}
         for c in range(d):
             cols = np.nonzero(merged == c)[0]
             if cols.size < 2:
                 continue
-            # one gather of the cluster's columns serves scoring and sharpening
-            xs = BinaryMatrix._adopt(x.values[:, cols])
-            sf = score_feats(xs, c)
-            feats[c] = (cols, xs, sf)
+            sf = score_feats(cols, c)
             dev = sf - sf.mean(axis=0)
-            ranked.append((-float((dev**2).mean()), c))
-        ranked.sort()
-        for _, target in ranked[:2]:
-            cols, xs, sf = feats[target]
+            ranked.append((-float((dev**2).mean()), c, cols, sf))
+        ranked.sort(key=lambda entry: entry[:2])  # never compares the arrays
+        for _, target, cols, sf in ranked[:2]:
             halves = _lloyd(sf, 2, rng)
             if halves.min() == halves.max():
                 continue
-            halves = sharpen(xs, halves)
+            halves = sharpen(cols, halves)
             if halves.min() == halves.max():
                 continue
             lab = merged.copy()
@@ -767,8 +761,6 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
                 continue
             labs.append(lab)
             candidates.append((t, _soft_from_hard(lab, d)))
-        # release this move's gathers before the next move makes its own
-        feats = xs = None
     return candidates
 
 

@@ -16,9 +16,9 @@ results, in that order, from one writer (_manifest).
 Errors exit with status 1 and a one-line diagnostic on stderr; unusable
 counts, tolerances, seeds and ranges are reported before any file is read,
 and every entry of benchmark's lists before the first fit is timed.
-fit, select and influence create --out once their input has loaded and
-before they fit, so an --out that cannot be made fails before the work;
-a fit that fails after that point leaves the directory behind.
+fit, select and influence check every (g, d) against their loaded input
+and then create --out, both before they fit; a fit that fails after that
+point leaves the directory behind.
 
 fit, select and influence stop a restart once a sweep raises the free
 energy by less than --tol relative. benchmark has no --tol: it fits
@@ -126,6 +126,14 @@ def _bem_config(args, **fixed) -> BemConfig:
     )
 
 
+def _load_for(args, cells):
+    """--x and --y loaded, with fit's check of every (g, d) in cells on them."""
+    x, y = load_dataset(args.x, args.y)
+    for g, d in cells:
+        _check_cluster_counts(x.n, x.m, g, d)
+    return x, y
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -146,7 +154,7 @@ def _manifest(out: Path, args, echo, cfg: BemConfig | None = None, **results) ->
 
 
 def _cmd_fit(args) -> int:
-    x, y = load_dataset(args.x, args.y)
+    x, y = _load_for(args, [(args.g, args.d)])
     out = _outdir(args)
     cfg = _bem_config(args)
     result = fit(x, y, args.g, args.d, cfg)
@@ -165,7 +173,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    x, y = load_dataset(args.x, args.y)
+    x, y = _load_for(args, [(g, d) for g in args.gs for d in args.ds])
     out = _outdir(args)
     cfg = _bem_config(args)
     grid = select(x, y, args.gs, args.ds, cfg)
@@ -194,7 +202,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_influence(args) -> int:
-    x, y = load_dataset(args.x, args.y)
+    x, y = _load_for(args, [(args.g, args.d)])
     out = _outdir(args)
     cfg = _bem_config(args)
     result = fit(x, y, args.g, args.d, cfg)

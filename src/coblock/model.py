@@ -48,8 +48,7 @@ class BinaryMatrix(_Value):
     The constructor copies its input and checks every cell. _adopt wraps
     a fresh float array already known to be a non-empty 2-D 0/1 matrix
     without either; its users are simulate.generate (a comparison
-    result), dataio.load_dataset (after the reader's 0/1 test) and the
-    split-merge column gathers of a BinaryMatrix in bem.
+    result) and dataio.load_dataset (after the reader's 0/1 test).
     """
 
     values: np.ndarray

@@ -32,6 +32,10 @@ because the package does not call them:
   - param_terms, a coblock.bem.ParamTerms with every term computed
     afresh from its parameters, which a fit never builds: it hands on
     the terms its M-steps return.
+  - init_col_features, the standardized column features of
+    coblock.bem._init_assignments built one row cluster at a time from
+    that cluster's rows of x, as the package built them before it formed
+    them with one product.
 The exhaustive-enumeration oracles (exact log-likelihood and posterior
 mode) live in oracle.py.
 """
@@ -231,6 +235,24 @@ def param_terms(y: CovariateTable, params: ModelParams) -> bem.ParamTerms:
     """The ParamTerms of params, all computed afresh."""
     return bem.ParamTerms(params, bem._logistic(params.coefs, y.augmented),
                           gaussian_cluster_logpdfs(y, params))
+
+
+def init_col_features(x: BinaryMatrix, y: CovariateTable, z0: np.ndarray, g: int) -> np.ndarray:
+    """Per row cluster k of z0: each column's mean over the cluster's rows,
+    then its covariance with the cluster-centred covariates; zeros for an
+    empty cluster. Standardized as _init_assignments clusters them."""
+    blocks = []
+    for k in range(g):
+        mask = z0 == k
+        if mask.any():
+            xk = x.values[mask]
+            yk = y.values[mask] - y.values[mask].mean(axis=0)
+            blocks.append(xk.mean(axis=0)[:, None])
+            blocks.append(xk.T @ yk / mask.sum())
+        else:
+            blocks.append(np.zeros((x.m, 1)))
+            blocks.append(np.zeros((x.m, y.p)))
+    return bem._standardize(np.hstack(blocks))
 
 
 def rand_params(rng: np.random.Generator, g: int, d: int, p: int,

@@ -38,6 +38,7 @@ from coblock.errors import (
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams, SoftAssignments
 from helpers import (
     hard_soft,
+    init_col_features,
     mp_col_posteriors,
     mp_exact_loglik,
     mp_row_posteriors,
@@ -958,6 +959,26 @@ class TestFit:
         variances = np.diagonal(res.params.covs, axis1=1, axis2=2)
         assert variances.min() > 1e4 * bem._RIDGE
 
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_init_column_features_with_an_empty_row_cluster(self, p, monkeypatch):
+        # the column features of one product match the per-cluster gathers
+        # of helpers.init_col_features; row cluster 1 is left empty
+        rng = np.random.default_rng(p)
+        x, y = rand_instance(rng, 30, 11, p)
+        z0 = np.arange(x.n) % 2 * 2
+        seen = []
+
+        def lloyd(feats, k, rng):
+            seen.append(feats)
+            return z0 if len(seen) == 1 else np.arange(feats.shape[0]) % k
+
+        monkeypatch.setattr(bem, "_lloyd", lloyd)
+        bem._init_assignments(x, y, 3, 2, np.random.default_rng(0))
+        got = seen[1]
+        q = p + 1
+        np.testing.assert_allclose(got, init_col_features(x, y, z0, 3), rtol=1e-12)
+        assert np.all(got[:, q:2 * q] == 0.0)
+
     def test_covariate_unit_does_not_change_labels(self):
         # at 1e3 times the unit the covariances' entries reach ~1e6, where
         # the M-step's round-off asymmetry exceeds an absolute 1e-12
@@ -1076,6 +1097,28 @@ class TestSplitMerge:
             assert calls[k][1] is None
             for before, call in zip(calls[k:k + 2], calls[k + 1:k + 3]):
                 assert call[0] is before[2][0] and call[1] is before[2][2]
+
+    def test_split_merge_reads_x_without_gathering(self, monkeypatch):
+        # scoring and sharpening read the fit's own x: a target that is a
+        # proper subset of the columns weighs the other columns 0
+        truth = cb.separated_params(2, 4, p=1, seed=1)
+        sim = cb.generate(cb.SimConfig(n=40, m=16, params=truth, seed=9))
+        res = fit(sim.x, sim.y, 2, 4, BemConfig(n_restarts=2, seed=1, split_merge_rounds=0))
+        matrices, arrays, posteriors = [], [], []
+        of, logits = bem.ColStats.of, bem._col_logits
+
+        def col_stats(x, r):
+            matrices.append(x)
+            posteriors.append(np.array(r))
+            return of(x, r)
+
+        monkeypatch.setattr(bem.ColStats, "of", staticmethod(col_stats))
+        monkeypatch.setattr(bem, "_col_logits", lambda xv, *a: arrays.append(xv) or logits(xv, *a))
+        bem._merge_split_candidates(sim.x, sim.y, res, np.random.default_rng(0))
+        assert posteriors and arrays
+        assert all(x is sim.x for x in matrices)
+        assert all(xv is sim.x.values for xv in arrays)
+        assert any(0 < r.any(axis=1).sum() < sim.x.m for r in posteriors)
 
     def test_candidates_have_distinct_partitions(self, monkeypatch):
         truth = cb.separated_params(2, 4, p=1, seed=1)

@@ -11,6 +11,7 @@ import coblock as cb
 from coblock import cli
 from coblock.cli import main
 from coblock.dataio import load_dataset, read_labels_csv, read_params_json, write_params_json
+from coblock.errors import ParamValidationError
 
 
 @pytest.fixture
@@ -237,6 +238,23 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot create output directory {out}: ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, cell", [
+        (["fit", "--g", "2", "--d", "17"], (2, 17)),
+        (["influence", "--g", "2", "--d", "17"], (2, 17)),
+        (["select", "--g-range", "1:2", "--d-range", "1:17"], (1, 17)),
+    ], ids=["fit", "influence", "select"])
+    def test_cell_beyond_the_data_leaves_no_out(self, dataset, tmp_path, capsys, command, cell):
+        # every (g, d) is checked against the loaded data before --out is made
+        x, y = load_dataset(dataset["x"], dataset["y"])
+        with pytest.raises(ParamValidationError) as fit_error:
+            cb.fit(x, y, *cell)
+        out = tmp_path / "out"
+        data = ["--x", str(dataset["x"]), "--y", str(dataset["y"]), "--restarts", "1"]
+        rc = main(command + data + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {fit_error.value}\n"
+        assert not out.exists()
 
     def test_non_binary_cell(self, tmp_path, capsys):
         (tmp_path / "x.csv").write_text("0,2\n1,0\n")
