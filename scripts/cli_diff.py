@@ -12,14 +12,21 @@ sides with different bytes is reported as
 
 when its text is the same and only the values of its numbers moved
 (X is max |a - b| / max(|a|, |b|) over its number pairs), and as
-"text differs" otherwise. A file on one side only is a text difference
-too. timing.csv holds wall-clock times and is left out. The exit status
-is 1 if any file's text differs, else 0.
+"text differs" otherwise. A .json file whose two sides parse to equal
+values (compared as Python values, so 0, 0.0 and -0.0 are one value)
+is reported as
+
+    same values, layout differs
+
+whatever its bytes. A file on one side only is a text difference too.
+timing.csv holds wall-clock times and is left out. The exit status is 1
+if any file's text differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from pathlib import Path
@@ -46,13 +53,21 @@ def compare(old: str, new: str) -> float | None:
     return worst
 
 
+def same_json(old: bytes, new: bytes) -> bool:
+    """Whether two texts both parse as JSON to equal values."""
+    try:
+        return json.loads(old) == json.loads(new)
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     left, right = files(args.old), files(args.new)
-    same = numbers = text = 0
+    same = numbers = layout = text = 0
     for name in sorted(left | right):
         if name not in left or name not in right:
             print(f"{name}: text differs (only in {'NEW' if name in right else 'OLD'})")
@@ -62,6 +77,10 @@ def main(argv=None) -> int:
         if old == new:
             same += 1
             continue
+        if name.endswith(".json") and same_json(old, new):
+            print(f"{name}: same values, layout differs")
+            layout += 1
+            continue
         worst = compare(old.decode(), new.decode())
         if worst is None:
             print(f"{name}: text differs")
@@ -69,8 +88,8 @@ def main(argv=None) -> int:
         else:
             print(f"{name}: numbers only, max relative difference {worst:.1e}")
             numbers += 1
-    print(f"{same + numbers + text} files: {same} identical, {numbers} numbers only, "
-          f"{text} text differs")
+    print(f"{same + numbers + layout + text} files: {same} identical, {numbers} numbers only, "
+          f"{layout} same values, layout differs, {text} text differs")
     return 1 if text else 0
 
 

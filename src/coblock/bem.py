@@ -62,7 +62,7 @@ from .model import (
 _TRACE_SLACK = 1e-9
 # merges tried per split-merge round, cheapest first
 _SPLIT_MERGE_MOVES = 3
-# fixed M-step settings; _newton_stack and m_step_gaussian say what each does
+# fixed M-step settings; m_step_beta and m_step_gaussian say what each does
 _NR_MAX_ITERS = 25
 _NR_GRAD_TOL = 1e-8
 _PREDICTOR_BOUND = 30.0
@@ -393,27 +393,39 @@ def _solve_boosted(neg_h, grad) -> np.ndarray:
     return delta
 
 
-def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
-    """Damped Newton ascent of K independent block objectives at once.
+def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
+    """Per-block logistic coefficient updates, warm-started from coefs
+    (g, d, p+1) with their predictors, the (3, g, d, n) _logistic of coefs
+    (computed here if None, and only read).
 
-    Block b is row b of the weights data[0] and counts data[1] (K, n),
-    mass (K,), beta_init (K, q) and predictors, the _logistic of beta_init
-    as (3, K, n), which is only read. A block stops once its gradient is
-    below _NR_GRAD_TOL times its Bernoulli mass (so the iteration count
-    does not grow with n), or where it has no direction, no room in the box
-    or no ascending step: a full step that would take a predictor out of
-    [-_PREDICTOR_BOUND, _PREDICTOR_BOUND] is cut to the box's edge, and one
-    that does not ascend is halved (at most 60 tries, never below a relative
-    step of 1e-15) unless its predicted gain step * grad . delta is within
-    _ROUND_OFF_ULPS ulps of the objective's terms. There is no active set: a
-    stopped block stays in the stack with a zero step, its system I delta = 0.
-    Returns (beta, clamped, pred): clamped marks binding boxes, and pred is
-    the _logistic of beta, in an array of its own.
+    Blocks are independent: block (k,l) maximizes
+        sum_i t_ik [ (x r)_il eta_i - r_.l softplus(eta_i) ].
+    All K = g*d blocks are solved at once by damped Newton ascent, block
+    (k,l) as row k*d + l of the (K, n) weights t_.k and counts (x r)_.l.
+    A block stops once its gradient is below _NR_GRAD_TOL times its
+    Bernoulli mass (so the iteration count does not grow with n), or where
+    it has no direction, no room in the box or no ascending step: a full
+    step that would take a predictor out of [-_PREDICTOR_BOUND,
+    _PREDICTOR_BOUND] is cut to the box's edge, and one that does not
+    ascend is halved (at most 60 tries, never below a relative step of
+    1e-15) unless its predicted gain step * grad . delta is within
+    _ROUND_OFF_ULPS ulps of the objective's terms. There is no active set:
+    a stopped block stays in the stack with a zero step, its system
+    I delta = 0. A column cluster with zero mass leaves its coefficients
+    at the warm start (its objective is identically zero). Returns
+    (coefs, clamped, predictors): the (g,d,p+1) array, a (g,d) mask of
+    binding separation guards, and the (3,g,d,n) _logistic of coefs, in
+    an array of its own.
     """
+    t = np.asarray(t, dtype=float)
     y_aug, pairs = y.augmented, y._aug_pairs
-    w, c = data
-    beta = np.array(beta_init, dtype=float)
-    pred = start = np.reshape(predictors, (3, beta.shape[0], -1))
+    g, d, q = np.shape(coefs)
+    beta = np.array(coefs, dtype=float).reshape(g * d, q)
+    if predictors is None:
+        predictors = _logistic(beta, y_aug)
+    pred = start = np.reshape(predictors, (3, g * d, -1))
+    w, c = np.repeat(t.T, d, axis=0), np.tile(cols.xr.T, (g, 1))
+    mass = np.tile(cols.mass, g)
     u = (w * c) @ y_aug
     obj = _objective(beta, u, w, pred[2], mass)
     grad_tol = _NR_GRAD_TOL * (1.0 + mass * w.sum(axis=1))
@@ -476,34 +488,8 @@ def _newton_stack(y: CovariateTable, data, mass, beta_init, predictors):
             trying = trying[~up]
 
     pred = pred.copy() if pred is start else pred
-    return beta, np.abs(pred[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6, pred
-
-
-def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
-    """Per-block logistic coefficient updates, warm-started from coefs
-    (g, d, p+1) with their predictors, the (3, g, d, n) _logistic of coefs
-    (computed here if None).
-
-    Blocks are independent: block (k,l) maximizes
-        sum_i t_ik [ (x r)_il eta_i - r_.l softplus(eta_i) ].
-    All g*d blocks are solved as one stack by damped Newton-Raphson
-    (block (k,l) is row k*d + l), each block with its own stopping,
-    box and step-halving rules. A column cluster with zero mass leaves
-    its coefficients at the warm start (its objective is identically
-    zero). Returns (coefs, clamped, predictors): the (g,d,p+1) array, a
-    (g,d) mask of binding separation guards, and the (3,g,d,n) _logistic
-    of coefs.
-    """
-    t = np.asarray(t, dtype=float)
-    coefs = np.asarray(coefs, dtype=float)
-    if predictors is None:
-        predictors = _logistic(coefs, y.augmented)
-    g, d, q = coefs.shape
-    data = np.empty((2, g, d, y.n))
-    data[0], data[1] = t.T[:, None, :], cols.xr.T
-    coefs, clamped, final = _newton_stack(y, data.reshape(2, g * d, -1), np.tile(cols.mass, g),
-                                          coefs.reshape(g * d, q), predictors)
-    return coefs.reshape(g, d, q), clamped.reshape(g, d), final.reshape(3, g, d, -1)
+    clamped = np.abs(pred[0]).max(axis=1) >= _PREDICTOR_BOUND - 1e-6
+    return beta.reshape(g, d, q), clamped.reshape(g, d), pred.reshape(3, g, d, -1)
 
 
 def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:

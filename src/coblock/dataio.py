@@ -1,10 +1,11 @@
 """CSV and JSON serialization with reproducible bytes.
 
-All numeric output uses 17 significant digits, which round-trips any
-double exactly, and files are written with "\n" line endings on every
-platform. JSON is emitted by a small deterministic writer (fixed key
-order, fixed float format) so serialize -> parse -> serialize is
-byte-identical.
+CSV numbers are written with "%.17g", which round-trips any double
+exactly, and files are written with "\n" line endings on every
+platform. JSON is written by the json module: each float as the
+shortest decimal that reads back to the same double, keys in insertion
+order, and NaN or infinities refused; so serialize -> parse ->
+serialize is byte-identical.
 
 x.csv and y.csv are read by one routine. A file of one-digit cells in
 the exact layout write_x_csv produces (equal "d,d,...,d" lines, each
@@ -232,51 +233,10 @@ def write_timing_csv(path, rows) -> None:
                (f"{n},{d},{rep},{sweeps},{format_float(sec)}" for n, d, rep, sweeps, sec in rows))
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _json_emit(value, out, level) -> None:
-    pad = "  " * level
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for idx, (key, item) in enumerate(value.items()):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
-            _json_emit(item, out, level + 1)
-            out.append(",\n" if idx < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            out.append("[" + ", ".join(_json_scalar(v) for v in value) + "]")
-            return
-        out.append("[\n")
-        for idx, item in enumerate(value):
-            out.append(pad + "  ")
-            _json_emit(item, out, level + 1)
-            out.append(",\n" if idx < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_json_scalar(value))
-
-
 def dumps_json(value) -> str:
-    """Deterministic JSON text: fixed indentation, floats at 17 digits."""
-    out = []
-    _json_emit(value, out, 0)
-    return "".join(out) + "\n"
+    """JSON text by the json module, indented by two spaces; NaN and
+    infinities raise ValueError, as JSON has no spelling for them."""
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, value) -> None:

@@ -356,8 +356,9 @@ class TestErrors:
     def test_simulate_rejects_nan_proportions(self, tmp_path, capsys):
         # json reads NaN; a NaN proportion must not reach the sampler
         write_params_json(tmp_path / "p.json", cb.separated_params(2, 2, p=1, seed=2))
-        text = (tmp_path / "p.json").read_text()
-        (tmp_path / "p.json").write_text(text.replace('"row_props": [0.5,', '"row_props": [NaN,'))
+        payload = json.loads((tmp_path / "p.json").read_text())
+        payload["row_props"][0] = float("nan")
+        (tmp_path / "p.json").write_text(json.dumps(payload))
         out = tmp_path / "sim"
         rc = main([
             "simulate", "--params", str(tmp_path / "p.json"), "--n", "10", "--m", "4",

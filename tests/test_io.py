@@ -211,6 +211,12 @@ class TestJson:
         with pytest.raises(TypeError):
             dumps_json({"a": object()})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, value):
+        # JSON has no spelling for NaN or the infinities
+        with pytest.raises(ValueError):
+            dumps_json({"a": value})
+
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
 
@@ -245,15 +251,20 @@ class TestRoundTrips:
         assert cy.values.tobytes() == y.tobytes()
 
     def test_params_json_byte_stable(self, tmp_path):
-        params = cb.separated_params(2, 3, p=2, seed=1)
-        path1 = tmp_path / "a.json"
-        path2 = tmp_path / "b.json"
-        write_params_json(path1, params)
-        loaded = read_params_json(path1)
-        write_params_json(path2, loaded)
-        assert path1.read_bytes() == path2.read_bytes()
-        np.testing.assert_array_equal(params.coefs, loaded.coefs)
-        np.testing.assert_array_equal(params.covs, loaded.covs)
+        base = cb.separated_params(2, 3, p=2, seed=1)
+        # the same parameters with every edge double, -0.0 among them, as coefficients
+        edge = cb.ModelParams(base.row_props, base.col_props,
+                              np.resize(EDGE_FLOATS, base.coefs.shape), base.means, base.covs)
+        for params in (base, edge):
+            path1 = tmp_path / "a.json"
+            path2 = tmp_path / "b.json"
+            write_params_json(path1, params)
+            loaded = read_params_json(path1)
+            write_params_json(path2, loaded)
+            assert path1.read_bytes() == path2.read_bytes()
+            np.testing.assert_array_equal(params.coefs, loaded.coefs)
+            np.testing.assert_array_equal(np.signbit(params.coefs), np.signbit(loaded.coefs))
+            np.testing.assert_array_equal(params.covs, loaded.covs)
 
     def test_params_json_zero_covariates(self, tmp_path):
         params = cb.separated_params(2, 2, p=0, seed=2)
