@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     AllRestartsFailed,
@@ -505,15 +504,25 @@ def free_energy(t, cols: ColStats, terms: ParamTerms) -> float:
     return _row_terms(t, terms) + bern + _col_terms(cols, terms.params)
 
 
+def _xlogy(a, b):
+    """a log b for a, b >= 0, as scipy.special.xlogy gives it: 0 where a = 0
+    and -inf where a > 0 = b. Adding 1 to b where a = 0 keeps those logs
+    finite; np.where would cost several microseconds more a call."""
+    return a * np.log(b + (a == 0))
+
+
 def _row_terms(t, terms: ParamTerms) -> float:
     """The free energy's terms in t alone: t_.k log pi_k + t log phi - t log t."""
-    return (float(xlogy(t.sum(axis=0), terms.params.row_props).sum())
-            + float(np.einsum("ik,ik->", t, terms.logphi)) - float(xlogy(t, t).sum()))
+    with np.errstate(divide="ignore"):  # a proportion may be 0
+        mix = float(_xlogy(t.sum(axis=0), terms.params.row_props).sum())
+    return mix + float(np.einsum("ik,ik->", t, terms.logphi)) - float(_xlogy(t, t).sum())
 
 
 def _col_terms(cols: ColStats, params: ModelParams) -> float:
     """The free energy's terms in r alone: sum_l r_.l log rho_l - sum r log r."""
-    return float(xlogy(cols.mass, params.col_props).sum()) - float(xlogy(cols.r, cols.r).sum())
+    with np.errstate(divide="ignore"):  # a proportion may be 0
+        mix = float(_xlogy(cols.mass, params.col_props).sum())
+    return mix - float(_xlogy(cols.r, cols.r).sum())
 
 
 def _standardize(feats: np.ndarray) -> np.ndarray:

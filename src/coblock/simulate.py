@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import expit
 
+from .bem import _sigmoid
 from .errors import LengthMismatch, ParamValidationError
 from .model import BinaryMatrix, CovariateTable, HardLabels, ModelParams
 
@@ -66,9 +65,11 @@ def generate(config: SimConfig) -> SimOutput:
     yv = params.means[z] + np.einsum("nij,nj->ni", params.cov_chols[z], eps)
     y = CovariateTable(yv)
 
-    # eta_full[i, l] = y_aug_i . beta_{z_i, l}, then pick each column's cluster
+    # eta_full[i, l] = y_aug_i . beta_{z_i, l}; the link acts on each entry
+    # alone, so it runs on the (n, d) predictors before each column picks
+    # its cluster's
     eta_full = np.einsum("iq,ilq->il", y.augmented, params.coefs[z])
-    probs = expit(eta_full[:, w])
+    probs = _link(eta_full)[:, w]
     u = np.random.default_rng(ss_cells).random((n, m))
     x = BinaryMatrix._adopt((u < probs).astype(float))
 
@@ -94,9 +95,63 @@ def label_error_rate(estimated, truth) -> float:
     _, tru_idx = np.unique(tru, return_inverse=True)
     confusion = np.zeros((est_idx.max() + 1, tru_idx.max() + 1))
     np.add.at(confusion, (est_idx, tru_idx), 1.0)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    rows, cols = _max_weight_matching(confusion)
     matched = confusion[rows, cols].sum()
     return float(1.0 - matched / est.size)
+
+
+def _link(eta: np.ndarray) -> np.ndarray:
+    """The logistic link 1 / (1 + e^-eta), by the fit's own formula."""
+    return _sigmoid(eta, np.exp(-np.abs(eta)))
+
+
+def _max_weight_matching(weights: np.ndarray):
+    """Rows and columns of a matching of maximum total weight that pairs
+    min(k1, k2) rows and columns of a (k1, k2) matrix: the total of
+    scipy.optimize.linear_sum_assignment(weights, maximize=True).
+
+    The Hungarian method with shortest augmenting paths (Kuhn 1955;
+    Jonker & Volgenant 1987), O(k^3): each row of the shorter side joins
+    the matching along a shortest path in the reduced costs, and dual
+    potentials u, v keep those costs non-negative. The scans over the
+    columns are vectorized.
+    """
+    flip = weights.shape[0] > weights.shape[1]
+    cost = -(weights.T if flip else weights)
+    n, m = cost.shape
+    # column m is the virtual start column; owner[j] is the row matched
+    # to column j, -1 if none
+    u, v = np.zeros(n), np.zeros(m + 1)
+    owner = np.full(m + 1, -1)
+    via = np.zeros(m, dtype=np.int64)
+    for i in range(n):
+        owner[m] = i
+        j0 = m
+        dist = np.full(m, np.inf)
+        done = np.zeros(m + 1, dtype=bool)
+        while True:
+            done[j0] = True
+            free = ~done[:m]
+            i0 = owner[j0]
+            reduced = cost[i0] - u[i0] - v[:m]
+            closer = free & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = j0
+            j1 = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[j1]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[free] -= delta
+            j0 = j1
+            if owner[j0] < 0:
+                break
+        # augment: shift each column's row back along the path
+        while j0 != m:
+            j1 = via[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    owned = np.flatnonzero(owner[:m] >= 0)
+    return (owned, owner[owned]) if flip else (owner[owned], owned)
 
 
 def separated_params(

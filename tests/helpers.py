@@ -29,6 +29,9 @@ because the package does not call them:
   - log_posterior_y_rowform and its row_part, the fixed-label joint
     log-likelihood grouped by rows, which must equal row_part plus the
     sum of all influence scores.
+  - free_energy_reference, coblock.bem.free_energy written out from its
+    definition over all (i, j, k, l) with scipy's xlogy for the
+    x log y terms, the reference for the package's own x log y;
   - param_terms, a coblock.bem.ParamTerms with every term computed
     afresh from its parameters, which a fit never builds: it hands on
     the terms its M-steps return.
@@ -229,6 +232,20 @@ def log_posterior_y_rowform(
 
     rho_part = float(xlogy(m_l, params.col_props).sum())
     return bern + rho_part + row_part(y, params, z0)
+
+
+def free_energy_reference(x: BinaryMatrix, y: CovariateTable, t, r, params: ModelParams) -> float:
+    """The variational free energy at (t, r, params) from its definition:
+        sum_k t_.k log pi_k + sum_l r_.l log rho_l + sum_ik t_ik log phi_k(y_i)
+        + sum_ijkl t_ik r_jl [x_ij eta_kli - log(1 + e^eta_kli)]
+        - sum t log t - sum r log r."""
+    eta = np.einsum("iq,klq->kli", y.augmented, params.coefs)
+    cell = x.values[None, None] * eta[..., None] - np.logaddexp(0.0, eta)[..., None]
+    bern = float(np.einsum("ik,jl,klij->", t, r, cell))
+    mix = float(xlogy(t.sum(axis=0), params.row_props).sum()
+                + xlogy(r.sum(axis=0), params.col_props).sum())
+    dens = float(np.sum(t * gaussian_cluster_logpdfs(y, params)))
+    return mix + dens + bern - float(xlogy(t, t).sum()) - float(xlogy(r, r).sum())
 
 
 def param_terms(y: CovariateTable, params: ModelParams) -> bem.ParamTerms:

@@ -37,6 +37,7 @@ from coblock.errors import (
 )
 from coblock.model import BinaryMatrix, CovariateTable, ModelParams, SoftAssignments
 from helpers import (
+    free_energy_reference,
     hard_soft,
     init_col_features,
     mp_col_posteriors,
@@ -127,6 +128,48 @@ class TestEStepFreeEnergy:
         r, f_col = col_e_step(x, t, terms)
         want = free_energy(t, ColStats.of(x, r), terms)
         assert abs(f_col - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+class TestFreeEnergyZeros:
+    """free_energy's x log y terms take 0 log y = 0, as scipy's xlogy does:
+    exact zeros in t and r (as _softmax_rows flushes them), a column
+    cluster that holds no column and a proportion of 0 give the
+    reference's value, and mass on a proportion of 0 gives -inf."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(91)
+        n, m, g, d, p = 14, 9, 3, 3, 2
+        x, y = rand_instance(rng, n, m, p)
+        params = rand_params(rng, g, d, p, coef_scale=2.0)
+        t, _ = bem._softmax_rows(rng.normal(scale=300.0, size=(n, g)))
+        t[:3] = rand_soft(rng, 3, g)
+        t[3] = hard_soft([1], g)[0]
+        r = rand_soft(rng, m, d)
+        r[:, 2] = 0.0
+        r[:4] = hard_soft([0, 1, 0, 1], d)
+        r /= r.sum(axis=1, keepdims=True)
+        assert np.any(t == 0.0) and np.all(r[:, 2] == 0.0)
+        return x, y, t, r, params
+
+    @staticmethod
+    def with_props(params, row_props, col_props):
+        return ModelParams(row_props, col_props, params.coefs, params.means, params.covs)
+
+    def test_matches_the_xlogy_reference(self):
+        x, y, t, r, params = self.instance()
+        for col_props in (params.col_props, np.array([0.5, 0.5, 0.0])):
+            params = self.with_props(params, params.row_props, col_props)
+            got = free_energy(t, ColStats.of(x, r), param_terms(y, params))
+            want = free_energy_reference(x, y, t, r, params)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_mass_on_a_zero_proportion_is_minus_infinity(self):
+        x, y, t, r, params = self.instance()
+        params = self.with_props(params, np.array([0.5, 0.5, 0.0]), params.col_props)
+        assert t[:, 2].sum() > 0
+        assert free_energy(t, ColStats.of(x, r), param_terms(y, params)) == -np.inf
+        assert free_energy_reference(x, y, t, r, params) == -np.inf
 
 
 class TestLogisticKernels:

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +398,14 @@ class TestErrors:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_path_loads_no_scipy():
+    """scipy is a test-only dependency: importing the package and its CLI
+    must not load it, nor its memory and import time."""
+    code = ("import coblock, coblock.cli, sys; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import expit as logistic
 
 from coblock.bem import FitResult
 from coblock.errors import NotPositiveDefinite, ParamValidationError
@@ -18,6 +17,7 @@ from coblock.model import (
     SoftAssignments,
     gaussian_cluster_logpdfs,
 )
+from coblock.simulate import _link as logistic
 from helpers import bernoulli_link_logpdf, mp_gauss_logpdf, rand_params
 
 LOG_HALF = -0.6931471805599453
@@ -36,9 +36,9 @@ def gaussian_logpdf(y, mean, cov) -> float:
 
 
 class TestLogistic:
-    """scipy's expit, simulate's logistic link, has the properties it
-    relies on (the fit computes its sigmoid from exp(-|eta|); see
-    test_bem.TestLogisticKernels)."""
+    """simulate's logistic link, the fit's sigmoid of exp(-|eta|), has the
+    properties generate relies on (test_bem.TestLogisticKernels checks
+    that sigmoid against 50-digit values and scipy's expit)."""
 
     def test_zero(self):
         assert logistic(0.0) == 0.5

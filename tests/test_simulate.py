@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from coblock.errors import LengthMismatch, ParamValidationError
 from coblock.model import ModelParams
-from coblock.simulate import SimConfig, generate, label_error_rate, separated_params
+from coblock.simulate import (
+    SimConfig,
+    _max_weight_matching,
+    generate,
+    label_error_rate,
+    separated_params,
+)
 
 
 def one_block_params(intercept: float) -> ModelParams:
@@ -143,3 +151,38 @@ class TestLabelErrorRate:
         if len(a) != len(b):
             a = (a * len(b))[: len(b)]
         assert label_error_rate(a, b) == pytest.approx(label_error_rate(b, a))
+
+
+@st.composite
+def confusions(draw):
+    """Rectangular count matrices up to 15 on either side; small counts
+    give ties, and some rows are all zero."""
+    shape = (draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+    top = draw(st.integers(0, 30))
+    counts = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
+    counts[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))] = 0
+    return counts.astype(float)
+
+
+class TestMaxWeightMatching:
+    """label_error_rate's assignment solver against scipy's
+    linear_sum_assignment(..., maximize=True)."""
+
+    @staticmethod
+    def check(weights):
+        rows, cols = _max_weight_matching(weights)
+        want_rows, want_cols = linear_sum_assignment(weights, maximize=True)
+        assert rows.size == cols.size == min(weights.shape)
+        assert np.unique(rows).size == rows.size and np.unique(cols).size == cols.size
+        assert weights[rows, cols].sum() == weights[want_rows, want_cols].sum()
+
+    @given(confusions())
+    def test_matches_scipy(self, weights):
+        self.check(weights)
+
+    def test_every_shape_up_to_fifteen(self):
+        rng = np.random.default_rng(17)
+        for k1 in range(1, 16):
+            for k2 in range(1, 16):
+                self.check(rng.integers(0, 4, size=(k1, k2)).astype(float))
+        self.check(np.zeros((4, 6)))
