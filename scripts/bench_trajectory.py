@@ -8,11 +8,12 @@ measured on different hosts, so their seconds do not compare across
 files; the ratio of the change's median op_s to the parent's, taken
 within one file, does. This script reads only those files, orders them
 by where their parent commit sits in the history of HEAD, oldest first,
-and prints per workload one line per file that measured it: the file,
-its parent commit, the change/parent op_s median ratio and the running
-product of the ratios so far, which estimates the op_s of that change
-relative to the first parent measured. A change not benchmarked on a
-workload is missing from its product.
+and prints for each workload and each end-to-end metric (op_s,
+peak_rss_mb, setup_s) one line per file that measured it: the file, its
+parent commit, the change/parent median ratio and the running product
+of the ratios so far, which estimates the metric of that change relative
+to the first parent measured. A change not benchmarked on a workload or
+metric is missing from its product.
 """
 
 from __future__ import annotations
@@ -23,28 +24,31 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+METRICS = ("op_s", "peak_rss_mb", "setup_s")
 
 
 def read_record(path: Path):
-    """(file name, parent commit, {workload: (parent median, change median)})
-    of one BENCH_*.json, from each workload's summary.op_s."""
+    """(file name, parent commit, {(workload, metric): (parent median, change
+    median)}) of one BENCH_*.json, from each workload's summary, for each
+    of METRICS the summary holds."""
     doc = json.loads(Path(path).read_text())
     medians = {
-        workload: (entry["summary"]["op_s"]["parent_median"],
-                   entry["summary"]["op_s"]["change_median"])
+        (workload, metric): (entry["summary"][metric]["parent_median"],
+                             entry["summary"][metric]["change_median"])
         for workload, entry in doc["workloads"].items()
+        for metric in METRICS if metric in entry["summary"]
     }
     return Path(path).name, doc["parent_commit"], medians
 
 
 def chain(records):
-    """Per workload, the (name, ratio, running product) of each record that
-    measured it, in the order given; records are (name, medians) pairs with
-    medians as read_record returns them."""
+    """Per (workload, metric), the (name, ratio, running product) of each
+    record that measured it, in the order given; records are (name,
+    medians) pairs with medians as read_record returns them."""
     rows = {}
     for name, medians in records:
-        for workload, (parent, change) in medians.items():
-            line = rows.setdefault(workload, [])
+        for key, (parent, change) in medians.items():
+            line = rows.setdefault(key, [])
             ratio = change / parent
             line.append((name, ratio, (line[-1][2] if line else 1.0) * ratio))
     return rows
@@ -64,9 +68,10 @@ def history_order(records):
 def main() -> int:
     records = history_order([read_record(path) for path in ROOT.glob("BENCH_*.json")])
     parents = {name: parent[:7] for name, parent, _ in records}
-    for workload, rows in sorted(chain((name, medians) for name, _, medians in records).items()):
-        print(workload)
-        for name, ratio, product in rows:
+    rows = chain((name, medians) for name, _, medians in records)
+    for workload, metric in sorted(rows, key=lambda key: (key[0], METRICS.index(key[1]))):
+        print(workload, metric)
+        for name, ratio, product in rows[(workload, metric)]:
             print(f"  {name:40s} {parents[name]}  ratio {ratio:.3f}  product {product:.3f}")
     return 0
 

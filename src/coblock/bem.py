@@ -32,6 +32,12 @@ E-step returns the free energy at its posterior from its softmax
 normalizers, so free_energy runs after the two M-steps of a sweep only.
 fit runs restarts and split-merge refits alike, as fits from given soft
 assignments in one loop under one acceptance rule.
+
+x is stored as uint8, and its three products (x @ r, lin @ x in the
+column scores, x.T @ F in the column features) run through _x_product,
+which widens x to float64 one row chunk at a time and keeps each BLAS
+call small enough to run on one thread, so a seeded fit has the same
+bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -68,6 +74,12 @@ _PREDICTOR_BOUND = 30.0
 _RIDGE = 1e-8
 _MIN_CLUSTER_MASS = 1e-6
 _ROUND_OFF_ULPS = 4.0
+# _x_product reads x in row chunks of at most this many multiply-adds
+# (rows x m x the other operand's width): OpenBLAS runs a product that
+# small on one thread, so its bits do not depend on the thread count, and
+# a chunk widened to float64 takes at most 2 MB. generate draws x in row
+# blocks of at most this many cells.
+_CHUNK_WORK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -216,7 +228,38 @@ class ColStats:
     @classmethod
     def of(cls, x: BinaryMatrix, r) -> ColStats:
         r = np.array(r, dtype=float)
-        return cls(*_read_only(r, x.values @ r, r.sum(axis=0)))
+        return cls(*_read_only(r, _x_product(x.values, right=r), r.sum(axis=0)))
+
+
+def _row_chunks(n: int, row_size: int):
+    """Slices of consecutive rows cutting n rows into chunks of at most
+    _CHUNK_WORK // row_size rows (one at least), in order."""
+    rows = max(1, _CHUNK_WORK // row_size)
+    return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
+
+
+def _x_product(xv: np.ndarray, left=None, right=None) -> np.ndarray:
+    """left @ xv (k, m) for left (k, n), or xv @ right (n, k) for right
+    (m, k), where xv is the uint8 x of a BinaryMatrix; x.T @ F is (F.T @
+    xv).T. Each chunk of _row_chunks(n, m * k) is widened to float64 in one
+    buffer and multiplied alone, and left @ xv adds the chunks' products in
+    chunk order; a matrix of one chunk gives the one-shot product's bits."""
+    n, m = xv.shape
+    k = right.shape[1] if left is None else left.shape[0]
+    chunks = _row_chunks(n, m * k)
+    # empty_like keeps a subclass of xv, so its own @ forms each x @ right
+    buf = np.empty_like(xv[chunks[0]], dtype=float)
+    out = np.empty((n, k)) if left is None else None
+    for rows in chunks:
+        chunk = buf[:rows.stop - rows.start]
+        chunk[...] = xv[rows]
+        if left is None:
+            out[rows] = chunk @ right
+        elif out is None:
+            out = left[:, rows] @ chunk
+        else:
+            out += left[:, rows] @ chunk
+    return out
 
 
 def _softmax_rows(logits: np.ndarray):
@@ -259,11 +302,11 @@ def _row_sums(t, pred):
 
 
 def _col_logits(xv: np.ndarray, t, pred, col_props) -> np.ndarray:
-    """Unnormalized column log-posteriors, one row per column of xv:
+    """Unnormalized column log-posteriors, one row per column of the uint8 x xv:
     log rho_l + sum_i x_ij sum_k t_ik eta_kli - sum_ik t_ik softplus(eta_kli)."""
     lin, base = _row_sums(t, pred)
     with np.errstate(divide="ignore"):
-        return np.log(col_props)[None, :] + (lin @ xv).T - base[None, :]
+        return np.log(col_props)[None, :] + _x_product(xv, left=lin).T - base[None, :]
 
 
 def col_e_step(x: BinaryMatrix, t, terms: ParamTerms):
@@ -549,7 +592,10 @@ def _kpp_centers(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _lloyd(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One k-means++ seeded Lloyd run of 10 steps; restarts differ by the rng."""
+    """One k-means++ seeded Lloyd run of at most 10 steps; restarts differ
+    by the rng. A step that keeps the labels of the step before, with no
+    cluster empty, would leave the centers as they are, so every later step
+    would repeat it without drawing from the rng: the run ends there."""
     n = feats.shape[0]
     if k == 1:
         return np.zeros(n, dtype=np.int64)
@@ -557,7 +603,9 @@ def _lloyd(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(10):
         d2 = ((feats[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
+        prev, labels = labels, d2.argmin(axis=1)
+        if np.array_equal(labels, prev) and np.bincount(labels, minlength=k).all():
+            break
         for c in range(k):
             mask = labels == c
             if mask.any():
@@ -577,8 +625,10 @@ def _soft_from_hard(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _weighted_col_sums(x: BinaryMatrix, weights, aug) -> np.ndarray:
-    """x^T (weights (x) aug), (m, k*q): entry [j, k*q + c] is sum_i x_ij weights_ik aug_ic."""
-    return x.values.T @ (weights[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
+    """x^T (weights (x) aug), (m, k*q), C-ordered: entry [j, k*q + c] is
+    sum_i x_ij weights_ik aug_ic."""
+    feats = (weights[:, :, None] * aug[:, None, :]).reshape(x.n, -1)
+    return _x_product(x.values, left=feats.T).T.copy()
 
 
 def _init_assignments(x, y, g, d, rng: np.random.Generator):

@@ -10,12 +10,14 @@ serialize is byte-identical.
 x.csv and y.csv are read by one routine. A file of one-digit cells in
 the exact layout write_x_csv produces (equal "d,d,...,d" lines, each
 ending in "\n", no blank line) is decoded from its bytes, each cell its
-digit; every other file is parsed per token, numpy reading each line's
-tokens exactly as float() would. One vectorized test then checks every
-cell (0 or 1 in x, finite in y), and only on failure is the file
-scanned again, token by token, to name the first offending cell. Blank
-lines are skipped, so a y.csv cannot carry p = 0 columns; write_y_csv
-refuses such a table. write_x_csv writes the file's bytes in one call.
+digit as a uint8, which x keeps as its values without widening; every
+other file is parsed per token, numpy reading each line's tokens exactly
+as float() would (x is then stored as uint8 too). One vectorized test
+then checks every cell (0 or 1 in x, finite in y), and only on failure
+is the file scanned again, token by token, to name the first offending
+cell. Blank lines are skipped, so a y.csv cannot carry p = 0 columns;
+write_y_csv refuses such a table. write_x_csv writes the file's bytes
+in one call.
 
 CSV formats:
     x.csv / y.csv          headerless, comma separated, one row per individual
@@ -73,9 +75,9 @@ def _text_rows(raw: bytes, path, what: str):
 
 
 def _digit_cells(raw: bytes):
-    """The cells of a file of equal "d,d,...,d\\n" lines of one-digit
-    cells, each its byte minus ord("0") (what float() gives); None for
-    any other file."""
+    """The uint8 cells of a file of equal "d,d,...,d\\n" lines of one-digit
+    cells, each its byte minus ord("0") (the value float() gives); None
+    for any other file."""
     k = raw.find(b"\n")
     if k < 1 or k % 2 == 0 or len(raw) % (k + 1):
         return None
@@ -87,13 +89,14 @@ def _digit_cells(raw: bytes):
         or (lines[:, k] != ord("\n")).any()
     ):
         return None
-    return digits.astype(float)
+    return digits
 
 
 def _read_matrix(path, what: str, error, rule: str, ok):
-    """Float matrix of a headerless CSV whose every cell passes ok;
-    otherwise error names the first cell, in reading order, that is not
-    a number or breaks the rule."""
+    """Matrix of a headerless CSV whose every cell passes ok, uint8 if
+    _digit_cells decoded it and float otherwise; if a cell fails, error
+    names the first one, in reading order, that is not a number or breaks
+    the rule."""
     raw = _read_bytes(path, what)
     values = _digit_cells(raw)
     if values is not None and ok(values).all():
@@ -135,7 +138,7 @@ def load_dataset(x_path, y_path):
             f"x has {xv.shape[0]} rows but y has {yv.shape[0]}"
         )
     # xv is fresh and its every cell passed the 0/1 test above
-    return BinaryMatrix._adopt(xv), CovariateTable(yv)
+    return BinaryMatrix._adopt(xv.astype(np.uint8, copy=False)), CovariateTable(yv)
 
 
 def _write_text(path, text: str) -> None:

@@ -45,10 +45,12 @@ class _Value:
 class BinaryMatrix(_Value):
     """An n-by-m matrix of {0,1} observations (rows: individuals, columns: variables).
 
-    The constructor copies its input and checks every cell. _adopt wraps
-    a fresh float array already known to be a non-empty 2-D 0/1 matrix
-    without either; its users are simulate.generate (a comparison
-    result) and dataio.load_dataset (after the reader's 0/1 test).
+    values is a read-only, C-ordered uint8 array, one byte per cell; bem
+    widens it to float64 one row chunk at a time. The constructor checks
+    every cell of its input as a float and stores a uint8 copy. _adopt
+    wraps a fresh uint8 array already known to be a non-empty, C-ordered
+    2-D 0/1 matrix without either; its users are simulate.generate (the
+    cells it draws) and dataio.load_dataset (after the reader's 0/1 test).
     """
 
     values: np.ndarray
@@ -72,6 +74,7 @@ class BinaryMatrix(_Value):
             raise ParamValidationError(
                 f"entry at row {bad[0] + 1}, column {bad[1] + 1} is not 0 or 1"
             )
+        v = np.ascontiguousarray(v, dtype=np.uint8)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bem import _sigmoid
+from .bem import _row_chunks, _sigmoid
 from .errors import LengthMismatch, ParamValidationError
 from .model import BinaryMatrix, CovariateTable, HardLabels, ModelParams
 
@@ -67,11 +67,14 @@ def generate(config: SimConfig) -> SimOutput:
 
     # eta_full[i, l] = y_aug_i . beta_{z_i, l}; the link acts on each entry
     # alone, so it runs on the (n, d) predictors before each column picks
-    # its cluster's
-    eta_full = np.einsum("iq,ilq->il", y.augmented, params.coefs[z])
-    probs = _link(eta_full)[:, w]
-    u = np.random.default_rng(ss_cells).random((n, m))
-    x = BinaryMatrix._adopt((u < probs).astype(float))
+    # its cluster's. The cells are drawn a block of rows at a time, which
+    # reads the uniform stream in the order one (n, m) draw would
+    link = _link(np.einsum("iq,ilq->il", y.augmented, params.coefs[z]))
+    cells = np.random.default_rng(ss_cells)
+    xv = np.empty((n, m), dtype=np.uint8)
+    for rows in _row_chunks(n, m):
+        np.less(cells.random((rows.stop - rows.start, m)), link[rows][:, w], out=xv[rows])
+    x = BinaryMatrix._adopt(xv)
 
     return SimOutput(x=x, y=y, truth=HardLabels(z + 1, w + 1))
 

@@ -39,6 +39,11 @@ because the package does not call them:
     coblock.bem._init_assignments built one row cluster at a time from
     that cluster's rows of x, as the package built them before it formed
     them with one product.
+  - lloyd_ten_steps, coblock.bem._lloyd as it ran before it stopped at
+    its fixed point: always all 10 steps.
+  - generate_one_shot, the x and y of coblock.simulate.generate from one
+    (n, m) draw of the cell stream, as generate made them before it drew
+    the cells a block of rows at a time.
 The exhaustive-enumeration oracles (exact log-likelihood and posterior
 mode) live in oracle.py.
 """
@@ -51,7 +56,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import xlogy
 
-from coblock import bem
+from coblock import bem, simulate
 from coblock.bem import (
     weighted_logistic_gradient,
     weighted_logistic_hessian,
@@ -270,6 +275,40 @@ def init_col_features(x: BinaryMatrix, y: CovariateTable, z0: np.ndarray, g: int
             blocks.append(np.zeros((x.m, 1)))
             blocks.append(np.zeros((x.m, y.p)))
     return bem._standardize(np.hstack(blocks))
+
+
+def lloyd_ten_steps(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A k-means++ seeded Lloyd run of exactly 10 steps, an empty cluster
+    reseeded at a random point."""
+    n = feats.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
+    centers = bem._kpp_centers(feats, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(10):
+        d2 = ((feats[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = feats[mask].mean(axis=0)
+            else:
+                centers[c] = feats[rng.integers(n)]
+    return labels
+
+
+def generate_one_shot(config: simulate.SimConfig):
+    """(x, y) values of one simulated dataset, x (bool) from one (n, m)
+    draw of uniforms compared with the (n, m) probabilities."""
+    params, n, m = config.params, config.n, config.m
+    ss_rows, ss_cols, ss_cov, ss_cells = np.random.SeedSequence(config.seed).spawn(4)
+    z = np.random.default_rng(ss_rows).choice(params.g, size=n, p=params.row_props)
+    w = np.random.default_rng(ss_cols).choice(params.d, size=m, p=params.col_props)
+    eps = np.random.default_rng(ss_cov).standard_normal((n, params.p))
+    y = CovariateTable(params.means[z] + np.einsum("nij,nj->ni", params.cov_chols[z], eps))
+    eta_full = np.einsum("iq,ilq->il", y.augmented, params.coefs[z])
+    probs = simulate._link(eta_full)[:, w]
+    return np.random.default_rng(ss_cells).random((n, m)) < probs, y.values
 
 
 def rand_params(rng: np.random.Generator, g: int, d: int, p: int,

@@ -1,15 +1,19 @@
 """Block-EM machinery: E-steps against 50-digit references, M-step
 closed forms, the free-energy contract, and end-to-end fits."""
 
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import coblock as cb
 from coblock import bem, model
@@ -40,6 +44,7 @@ from helpers import (
     free_energy_reference,
     hard_soft,
     init_col_features,
+    lloyd_ten_steps,
     mp_col_posteriors,
     mp_exact_loglik,
     mp_row_posteriors,
@@ -643,6 +648,56 @@ class TestColumnStatistics:
         assert writable.flags.writeable and base.flags.writeable
 
 
+class TestXProduct:
+    """bem._x_product, one widened row chunk at a time, against the
+    one-shot float64 products of x."""
+
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+    @pytest.mark.parametrize("n, m, k, work", [
+        (25, 5, 2, None),       # one chunk
+        (25, 5, 2, 64),         # chunks of 6 rows, the last of 1
+        (25, 5, 3, 30),         # chunks of 2 rows, the last of 1
+        (7, 40, 2, 64),         # 64 < m * k: chunks of one row
+        (2000, 1000, 2, None),  # chunks of 131 rows at the default size
+    ])
+    def test_matches_one_shot(self, monkeypatch, fill, n, m, k, work):
+        if work is not None:
+            monkeypatch.setattr(bem, "_CHUNK_WORK", work)
+        rng = np.random.default_rng(n * m * k)
+        cells = {"zeros": np.zeros((n, m)), "ones": np.ones((n, m)),
+                 "random": rng.random((n, m)) < 0.4}[fill]
+        x = BinaryMatrix(cells)
+        xf = x.values.astype(float)
+        r, lin = rng.random((m, k)), rng.random((k, n))
+        weights, aug = rng.random((n, 2)), np.hstack([np.ones((n, 1)), rng.random((n, k - 1))])
+        feats = (weights[:, :, None] * aug[:, None, :]).reshape(n, -1)
+        got = (bem._x_product(x.values, right=r), bem._x_product(x.values, left=lin),
+               bem._weighted_col_sums(x, weights, aug))
+        want = (xf @ r, lin @ xf, xf.T @ feats)
+        for a, b, width in zip(got, want, (k, k, 2 * k)):
+            assert a.shape == b.shape and a.flags.c_contiguous
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+            if len(bem._row_chunks(n, m * width)) == 1:
+                # a matrix of one chunk keeps the one-shot product's bits
+                assert a.tobytes() == b.tobytes()
+
+
+class TestLloyd:
+    @given(
+        feats=st.integers(1, 30).flatmap(lambda n: hnp.arrays(
+            np.float64, (n, 2), elements=st.sampled_from([0.0, 1.0, 2.5]))),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stops_where_ten_steps_would_end(self, feats, k, seed):
+        # few distinct points, many duplicates: k-means++ seeds on
+        # repeated points and clusters go empty, so the reseeding draws
+        # of the full 10 steps must all be taken before any stop
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(bem._lloyd(feats, k, a), lloyd_ten_steps(feats, k, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestMapLabels:
     def test_examples(self):
         soft = SoftAssignments(
@@ -1053,6 +1108,38 @@ class TestFit:
         res = fit(x, y, 2, 2, cfg)
         ll = mp_exact_loglik(x, y, res.params)
         assert res.final_free_energy <= ll + 1e-9
+
+
+_THREADED_FIT = """
+import hashlib, sys
+import coblock as cb
+n, m, d = map(int, sys.argv[1:])
+truth = cb.separated_params(2, d, p=1, mean_scale=10.0)
+sim = cb.generate(cb.SimConfig(n=n, m=m, params=truth, seed=1))
+cfg = cb.BemConfig(n_restarts=1, split_merge_rounds=0, max_outer_iters=15, seed=1)
+res = cb.fit(sim.x, sim.y, 2, d, cfg)
+h = hashlib.sha256()
+for a in (res.free_energy_trace, res.params.coefs, res.assignments.row_probs,
+          res.assignments.col_probs):
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("n, m, d", [(2000, 1000, 2), (6000, 100, 6)])
+def test_fit_bytes_do_not_depend_on_blas_threads(n, m, d):
+    # the thread count must be set before numpy loads its BLAS, so each
+    # fit runs in a process of its own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_FIT, str(n), str(m), str(d)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def _canonical(labels):

@@ -1,5 +1,5 @@
 """scripts/bench_trajectory.py: reading BENCH_*.json records and chaining
-their op_s ratios."""
+their ratios per workload and end-to-end metric."""
 
 import json
 
@@ -9,24 +9,33 @@ from bench_trajectory import chain, read_record
 
 
 def _write(path, parent, medians):
-    workloads = {
-        workload: {"summary": {"op_s": {"parent_median": p, "change_median": c}}}
-        for workload, (p, c) in medians.items()
-    }
+    """A record whose summaries hold medians {(workload, metric): (parent, change)}."""
+    workloads = {}
+    for (workload, metric), (p, c) in medians.items():
+        summary = workloads.setdefault(workload, {"summary": {}})["summary"]
+        summary[metric] = {"parent_median": p, "change_median": c}
     path.write_text(json.dumps({"parent_commit": parent, "workloads": workloads}))
     return path
 
 
 def test_ratios_chain_per_workload(tmp_path):
-    first = _write(tmp_path / "BENCH_a.json", "aaa", {"fit": (2.0, 1.0), "cli": (1.0, 1.5)})
+    first_medians = {("fit", "op_s"): (2.0, 1.0), ("cli", "op_s"): (1.0, 1.5),
+                     ("cli", "peak_rss_mb"): (90.0, 72.0)}
+    first = _write(tmp_path / "BENCH_a.json", "aaa", first_medians)
     # measured on another host: only the ratio within the file counts
-    second = _write(tmp_path / "BENCH_b.json", "bbb", {"fit": (10.0, 8.0)})
+    second = _write(tmp_path / "BENCH_b.json", "bbb", {("fit", "op_s"): (10.0, 8.0),
+                                                       ("cli", "peak_rss_mb"): (120.0, 60.0)})
     records = [read_record(first), read_record(second)]
-    assert records[0] == ("BENCH_a.json", "aaa", {"fit": (2.0, 1.0), "cli": (1.0, 1.5)})
+    assert records[0] == ("BENCH_a.json", "aaa", first_medians)
 
     rows = chain((name, medians) for name, _, medians in records)
-    assert rows["cli"] == [("BENCH_a.json", 1.5, 1.5)]
-    (a_name, a_ratio, a_product), (b_name, b_ratio, b_product) = rows["fit"]
+    assert rows[("cli", "op_s")] == [("BENCH_a.json", 1.5, 1.5)]
+    (a_name, a_ratio, a_product), (b_name, b_ratio, b_product) = rows[("fit", "op_s")]
     assert (a_name, b_name) == ("BENCH_a.json", "BENCH_b.json")
     assert (a_ratio, a_product) == (0.5, 0.5)
     assert b_ratio == pytest.approx(0.8) and b_product == pytest.approx(0.4)
+    # a second metric chains on its own: 0.8, then 0.8 * 0.5
+    (_, rss_a, rss_a_product), (_, rss_b, rss_b_product) = rows[("cli", "peak_rss_mb")]
+    assert (rss_a, rss_a_product) == (pytest.approx(0.8), pytest.approx(0.8))
+    assert (rss_b, rss_b_product) == (0.5, pytest.approx(0.4))
+    assert ("fit", "peak_rss_mb") not in rows

@@ -186,8 +186,8 @@ class TestLoaderAgainstReference:
             else:
                 yp.write_text("0\n" * want.shape[0])
                 x, _ = load_dataset(xp, yp)
-                assert x.values.shape == want.shape
-                assert x.values.tobytes() == want.tobytes()
+                assert x.values.shape == want.shape and x.values.dtype == np.uint8
+                assert x.values.tobytes() == want.astype(np.uint8).tobytes()
 
 
 class TestFormatFloat:
@@ -247,7 +247,8 @@ class TestRoundTrips:
             assert xp.read_bytes() == x_ref.encode()
             assert yp.read_bytes() == y_ref.encode()
             bx, cy = load_dataset(xp, yp)
-        assert bx.values.tobytes() == x.tobytes()
+        assert bx.values.dtype == np.uint8
+        assert bx.values.tobytes() == x.astype(np.uint8).tobytes()
         assert cy.values.tobytes() == y.tobytes()
 
     def test_params_json_byte_stable(self, tmp_path):

@@ -151,7 +151,11 @@ class TestBinaryMatrix:
     def test_accepts_binary(self):
         x = BinaryMatrix([[0, 1], [1, 0]])
         assert (x.n, x.m) == (2, 2)
-        assert x.values.dtype == np.float64
+        assert x.values.dtype == np.uint8 and x.values.flags.c_contiguous
+        assert x.values.tobytes() == bytes([0, 1, 1, 0])
+        # any layout and dtype of 0/1 input is stored as C-ordered uint8
+        f = BinaryMatrix(np.asfortranarray([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+        assert f.values.flags.c_contiguous and f.values.tobytes() == bytes([0, 1, 1, 1, 0, 1])
 
     def test_rejects_other_values(self):
         with pytest.raises(ParamValidationError, match="row 1, column 2"):
@@ -167,7 +171,7 @@ class TestBinaryMatrix:
             x.values[0, 0] = 1.0
 
     def test_adopt_freezes_without_copy(self):
-        v = np.array([[0.0, 1.0], [1.0, 1.0]])
+        v = np.array([[0, 1], [1, 1]], dtype=np.uint8)
         x = BinaryMatrix._adopt(v)
         assert x.values is v and not v.flags.writeable
         assert (x.n, x.m) == (2, 2)

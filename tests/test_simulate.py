@@ -1,5 +1,7 @@
 """Synthetic data generation and the recovery error metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
+from coblock import bem
 from coblock.errors import LengthMismatch, ParamValidationError
 from coblock.model import ModelParams
 from coblock.simulate import (
@@ -16,6 +19,7 @@ from coblock.simulate import (
     label_error_rate,
     separated_params,
 )
+from helpers import generate_one_shot
 
 
 def one_block_params(intercept: float) -> ModelParams:
@@ -92,6 +96,37 @@ class TestGenerate:
         truth = separated_params(1, 1, p=1, seed=0)
         with pytest.raises(ParamValidationError, match="seed >= 0"):
             SimConfig(n=5, m=5, params=truth, seed=-1)
+
+
+class TestGenerateInRowBlocks:
+    """generate draws the cells a block of rows at a time into uint8: the
+    bits of one (n, m) draw, in memory bounded by the block."""
+
+    @pytest.mark.parametrize("m", [1, 3, 1000])
+    @pytest.mark.parametrize("edge", ["one row", "block - 1", "block", "block + 1", "2000"])
+    def test_equals_one_shot_draw(self, m, edge):
+        block = bem._CHUNK_WORK // m
+        n = {"one row": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1,
+             "2000": 2000}[edge]
+        cfg = SimConfig(n=n, m=m, params=separated_params(2, 3, p=2, seed=5), seed=7)
+        out = generate(cfg)
+        x, yv = generate_one_shot(cfg)
+        assert out.x.values.dtype == np.uint8 and out.x.values.flags.c_contiguous
+        assert out.x.values.tobytes() == x.astype(np.uint8).tobytes()
+        assert out.y.values.tobytes() == yv.tobytes()
+
+    def test_peak_memory_is_bounded(self):
+        # x takes 2 MB at 2000x1000; the (n, m) float64 uniforms and
+        # probabilities of a one-shot draw would take 16 MB each
+        truth = separated_params(2, 2, p=1, mean_scale=10.0)
+        cfg = SimConfig(n=2000, m=1000, params=truth, seed=1)
+        tracemalloc.start()
+        try:
+            generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestSeparatedParams:
