@@ -1,4 +1,4 @@
-"""SHA-256 of every file the CLI writes on five fixed workloads.
+"""SHA-256 of every file the CLI writes on six fixed workloads.
 
 Runs, in process and with relative paths inside a fresh temporary
 directory:
@@ -12,7 +12,10 @@ directory:
   - five column clusters at 1500x300: `simulate`, then `fit --d 5
     --restarts 4`. Split-merge there scores and sharpens proper subsets
     of the columns at sizes where BLAS blocks its products, so a change
-    in how those products are formed shows in the bytes.
+    in how those products are formed shows in the bytes;
+  - over-fitted cells: `simulate` (n=8, m=8), then `select` over g 1:4
+    and d 1:3. Row clusters there hold too few rows to span the
+    covariate, so the logistic M-step meets singular Newton systems.
 It writes one "digest  path" line per output file, sorted by path, to
 OUT. timing.csv holds wall-clock times and is left out. BLAS is pinned
 to one thread so the bytes do not depend on thread scheduling.
@@ -92,6 +95,13 @@ D5 = [
      "--g", "2", "--d", "5", "--out", "d5/fit"],
 ]
 
+OVER = [
+    ["simulate", "--params", "over/truth.json", "--n", "8", "--m", "8",
+     "--out", "over/sim", "--seed", "9"],
+    ["select", "--x", "over/sim/x.csv", "--y", "over/sim/y.csv", "--restarts", "2", "--seed", "1",
+     "--g-range", "1:4", "--d-range", "1:3", "--out", "over/select"],
+]
+
 
 def digests(root: Path):
     for path in sorted(root.rglob("*")):
@@ -118,10 +128,11 @@ def main() -> int:
                 ("p3", cb.separated_params(2, 2, p=3, seed=3)),
                 ("d4", cb.separated_params(2, 4, p=1, seed=1)),
                 ("d5", cb.separated_params(2, 5, p=1, mean_scale=10.0)),
+                ("over", cb.separated_params(2, 2, p=1, seed=3)),
             ):
                 Path(name).mkdir()
                 write_params_json(Path(name) / "truth.json", truth)
-            for argv in FIXTURE + WIDE + P3 + D4 + D5:
+            for argv in FIXTURE + WIDE + P3 + D4 + D5 + OVER:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main(argv)
                 if code != 0:

@@ -401,38 +401,13 @@ def weighted_logistic_hessian(beta, y_aug, row_weights, success_counts, trial_ma
     return -_neg_hessian(_sigmoid(eta, e), row_weights, trial_mass, _pair_products(y_aug))
 
 
-def _solve_boosted(neg_h, grad) -> np.ndarray:
-    """Newton directions for a (K, q, q) stack of systems.
-
-    A block whose system is singular, or whose direction is not finite,
-    is retried with a ridge boost on the diagonal: none at first, then
-    _RIDGE, then 1e3 times the last boost, for at most 8 tries. Only the
-    failed blocks are retried. Rows never solved are NaN.
-    """
-    delta = np.full(grad.shape, np.nan)
-    todo = np.arange(grad.shape[0])
-    lhs, rhs, boost = neg_h, grad, 0.0
-    for _ in range(8):
-        try:
-            sol = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # one singular system fails the whole stack: solve each alone
-            sol = np.full(rhs.shape, np.nan)
-            for j in range(todo.size):
-                try:
-                    sol[j] = np.linalg.solve(lhs[j], rhs[j])
-                except np.linalg.LinAlgError:
-                    pass
-        ok = np.all(np.isfinite(sol), axis=1)
-        if boost == 0.0 and ok.all():
-            return sol
-        delta[todo[ok]] = sol[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            break
-        boost = _RIDGE if boost == 0.0 else boost * 1e3
-        lhs, rhs = neg_h[todo] + boost * np.eye(grad.shape[1]), grad[todo]
-    return delta
+def _newton_directions(neg_h, grad) -> np.ndarray:
+    """Newton directions for a (K, q, q) stack: one batched solve, or, if any
+    system is singular, the minimum-norm directions of all pseudo-inverses."""
+    try:
+        return np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return (np.linalg.pinv(neg_h, hermitian=True) @ grad[:, :, None])[:, :, 0]
 
 
 def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
@@ -446,18 +421,19 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
     (k,l) as row k*d + l of the (K, n) weights t_.k and counts (x r)_.l.
     A block stops once its gradient is below _NR_GRAD_TOL times its
     Bernoulli mass (so the iteration count does not grow with n), or where
-    it has no direction, no room in the box or no ascending step: a full
-    step that would take a predictor out of [-_PREDICTOR_BOUND,
+    it has no finite direction, no room in the box or no ascending step:
+    a full step that would take a predictor out of [-_PREDICTOR_BOUND,
     _PREDICTOR_BOUND] is cut to the box's edge, and one that does not
     ascend is halved (at most 60 tries, never below a relative step of
     1e-15) unless its predicted gain step * grad . delta is within
-    _ROUND_OFF_ULPS ulps of the objective's terms. There is no active set:
-    a stopped block stays in the stack with a zero step, its system
-    I delta = 0. A column cluster with zero mass leaves its coefficients
-    at the warm start (its objective is identically zero). Returns
-    (coefs, clamped, predictors): the (g,d,p+1) array, a (g,d) mask of
-    binding separation guards, and the (3,g,d,n) _logistic of coefs, in
-    an array of its own.
+    _ROUND_OFF_ULPS ulps of the objective's terms. A singular system (a
+    row cluster that spans too few covariate directions) gets its
+    minimum-norm direction. There is no active set: a stopped block stays
+    in the stack with a zero step, its system I delta = 0. A column
+    cluster with zero mass leaves its coefficients at the warm start (its
+    objective is identically zero). Returns (coefs, clamped, predictors):
+    the (g,d,p+1) array, a (g,d) mask of binding separation guards, and
+    the (3,g,d,n) _logistic of coefs, in an array of its own.
     """
     t = np.asarray(t, dtype=float)
     y_aug, pairs = y.augmented, y._aug_pairs
@@ -480,8 +456,8 @@ def m_step_beta(y: CovariateTable, t, cols: ColStats, coefs, predictors=None):
             break
         neg_h = _neg_hessian(sig, w, mass[:, None], pairs)
         neg_h[done], grad[done] = np.eye(beta.shape[1]), 0.0
-        delta = _solve_boosted(neg_h, grad)
-        # no direction: a zero step, and the block stops
+        delta = _newton_directions(neg_h, grad)
+        # a direction that overflowed: a zero step, and the block stops
         done |= ~np.all(np.isfinite(delta), axis=1)
         delta[done] = 0.0
         cand = beta + delta

@@ -47,7 +47,8 @@ class BinaryMatrix(_Value):
 
     values is a read-only, C-ordered uint8 array, one byte per cell; bem
     widens it to float64 one row chunk at a time. The constructor checks
-    every cell of its input as a float and stores a uint8 copy. _adopt
+    every cell of a bool, int or float input in its dtype, of any other as
+    a float ("0" and "1" pass), and stores a uint8 copy. _adopt
     wraps a fresh uint8 array already known to be a non-empty, C-ordered
     2-D 0/1 matrix without either; its users are simulate.generate (the
     cells it draws) and dataio.load_dataset (after the reader's 0/1 test).
@@ -64,17 +65,20 @@ class BinaryMatrix(_Value):
         return obj
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.asarray(self.values)
+        v = v if v.dtype.kind in "biuf" else v.astype(float)
         if v.ndim != 2:
             raise ParamValidationError(f"binary matrix must be 2-D, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise ParamValidationError(f"binary matrix needs n >= 1 and m >= 1, got {v.shape}")
-        if not np.all((v == 0.0) | (v == 1.0)):
-            bad = np.argwhere((v != 0.0) & (v != 1.0))[0]
+        ok = v == 0
+        ok |= v == 1
+        if not ok.all():
+            bad = np.argwhere(~ok)[0]
             raise ParamValidationError(
                 f"entry at row {bad[0] + 1}, column {bad[1] + 1} is not 0 or 1"
             )
-        v = np.ascontiguousarray(v, dtype=np.uint8)
+        v = np.array(v, dtype=np.uint8, order="C")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

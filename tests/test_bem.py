@@ -527,13 +527,13 @@ class TestStackedNewton:
         # a block started at its optimum come back with the bits they were
         # handed while the other blocks step, and no solve sees a singular system
         ranks = []
-        inner = bem._solve_boosted
+        inner = bem._newton_directions
 
         def solve(neg_h, grad):
             ranks.append(np.linalg.matrix_rank(neg_h).tolist())
             return inner(neg_h, grad)
 
-        monkeypatch.setattr(bem, "_solve_boosted", solve)
+        monkeypatch.setattr(bem, "_newton_directions", solve)
         rng = np.random.default_rng(43)
         x, y = rand_instance(rng, 60, 12, 1)
         t, r = rand_soft(rng, 60, 2), hard_soft([0] * 6 + [1] * 6, 3)
@@ -550,6 +550,37 @@ class TestStackedNewton:
         assert all(not np.array_equal(got[kl], beta0[kl]) for kl in [(0, 1), (1, 0), (1, 1)])
         assert len(ranks) >= 3
         assert all(rank == 2 for stack in ranks for rank in stack), ranks
+
+    def test_newton_directions(self):
+        # a full-rank stack takes one batched solve, bit for bit; a stack with
+        # one singular block (its rows all have covariate 2 equal to 0, as in
+        # test_mixed_stack) gets finite directions that solve every system,
+        # the singular one with no component along its null space
+        rng = np.random.default_rng(44)
+        n = 40
+        cov = rng.normal(size=(n, 2))
+        cov[30:, 1] = 0.0
+        y = CovariateTable(cov)
+        w = rng.random((4, n))
+        w[3, :30] = 0.0
+        tm = rng.uniform(1.0, 5.0, size=(4, 1))
+        c = rng.random((4, n)) * tm
+        pred = bem._logistic(rng.normal(size=(4, 3)), y.augmented)
+        sig = bem._sigmoid(pred[0], pred[1])
+        neg_h = bem._neg_hessian(sig, w, tm, y._aug_pairs)
+        grad = bem._gradient(sig, y.augmented, w, c, tm)
+        full = bem._newton_directions(neg_h[:3], grad[:3])
+        want = np.linalg.solve(neg_h[:3], grad[:3, :, None])[:, :, 0]
+        np.testing.assert_array_equal(full, want)
+
+        assert np.linalg.matrix_rank(neg_h[3]) == 2
+        delta = bem._newton_directions(neg_h, grad)
+        assert np.all(np.isfinite(delta))
+        for k in range(4):
+            resid = neg_h[k] @ delta[k] - grad[k]
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(grad[k]), k
+        null = np.linalg.eigh(neg_h[3])[1][:, 0]
+        assert abs(null @ delta[3]) <= 1e-12 * np.linalg.norm(delta[3])
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_identifiable_stacks(self, seed, monkeypatch):

@@ -1,6 +1,7 @@
 """Core types, the logistic link and the Gaussian densities."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,10 +157,18 @@ class TestBinaryMatrix:
         # any layout and dtype of 0/1 input is stored as C-ordered uint8
         f = BinaryMatrix(np.asfortranarray([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
         assert f.values.flags.c_contiguous and f.values.tobytes() == bytes([0, 1, 1, 1, 0, 1])
+        # a uint8 input is copied, not frozen in place; bool and string inputs pass
+        v = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        assert not np.shares_memory(BinaryMatrix(v).values, v) and v.flags.writeable
+        for other in (v.astype(bool), np.array([["0", "1"], ["1", "0"]])):
+            assert BinaryMatrix(other).values.tobytes() == x.values.tobytes()
 
     def test_rejects_other_values(self):
-        with pytest.raises(ParamValidationError, match="row 1, column 2"):
-            BinaryMatrix([[0, 2], [1, 0]])
+        # ints are checked before the uint8 cast, which would wrap 256 to 0
+        bads = ([[0, 2], [1, 0]], [[0, 256]], [[0, -1]], [[0, 0.5]], [[0, np.nan]], [["0", "2"]])
+        for bad in bads:
+            with pytest.raises(ParamValidationError, match="row 1, column 2"):
+                BinaryMatrix(bad)
 
     def test_rejects_empty(self):
         with pytest.raises(ParamValidationError):
@@ -169,6 +178,17 @@ class TestBinaryMatrix:
         x = BinaryMatrix([[0, 1]])
         with pytest.raises(ValueError):
             x.values[0, 0] = 1.0
+
+    def test_construction_peak_memory(self):
+        # a 2 MB uint8 input is checked without a float64 copy (16 MB)
+        v = (np.random.default_rng(0).random((2000, 1000)) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            BinaryMatrix(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_adopt_freezes_without_copy(self):
         v = np.array([[0, 1], [1, 1]], dtype=np.uint8)
