@@ -15,7 +15,9 @@ then. --workload may be repeated; each workload runs the seeds
 first-seed .. first-seed + pairs - 1.
 
 The output holds `what`, `command`, `method`, `parent_commit`, `env`
-(from perfbench's own report) and, per workload, the seeds, which side
+(from perfbench's own report, plus `affinity_cpus`, the number of CPUs
+this process may run on: select_grid's op_s scales with it, since select
+fits its cells on one worker process per usable CPU) and, per workload, the seeds, which side
 ran first, the per-run `op_s`, `peak_rss_mb`, `setup_s`, `attempted` and
 `failed` of each side, and a `summary`: median and quartiles of each
 metric per side, the number of pairs in which the change reads lower,
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -122,7 +125,8 @@ def bench(workload, seeds, seconds, parent_dir, log):
                   f"failed {failed}/{attempted}", file=log, flush=True)
     entry = {"seeds": list(seeds), "first": first, **runs,
              "summary": summarize(runs["parent"], runs["change"])}
-    return entry, {k: env[k] for k in ENV_KEYS if k in env}
+    return entry, {**{k: env[k] for k in ENV_KEYS if k in env},
+                   "affinity_cpus": len(os.sched_getaffinity(0))}
 
 
 def main(argv=None):

@@ -13,7 +13,11 @@ peak_rss_mb, setup_s) one line per file that measured it: the file, its
 parent commit, the change/parent median ratio and the running product
 of the ratios so far, which estimates the metric of that change relative
 to the first parent measured. A change not benchmarked on a workload or
-metric is missing from its product.
+metric is missing from its product. A line whose file ran on a different
+number of usable CPUs than the file before it in the same product ends
+in "cpus A -> B": select fits its grid cells on one worker process per
+usable CPU, so its op_s ratios from hosts of different sizes measure the
+host as well as the change.
 """
 
 from __future__ import annotations
@@ -41,6 +45,21 @@ def read_record(path: Path):
     return Path(path).name, doc["parent_commit"], medians
 
 
+def read_cpus(path: Path):
+    """The number of CPUs the runs of one BENCH_*.json could use: the
+    affinity count bench_pairs.py records, else (older files) the
+    machine's nproc, else None."""
+    env = json.loads(Path(path).read_text()).get("env", {})
+    return env.get("affinity_cpus", env.get("nproc"))
+
+
+def cpu_changes(names, cpus):
+    """{name: (CPUs before, CPUs now)} for each file of one chain, in order,
+    whose known CPU count differs from the known count of the file before it."""
+    return {b: (cpus[a], cpus[b]) for a, b in zip(names, names[1:])
+            if None not in (cpus[a], cpus[b]) and cpus[a] != cpus[b]}
+
+
 def chain(records):
     """Per (workload, metric), the (name, ratio, running product) of each
     record that measured it, in the order given; records are (name,
@@ -66,13 +85,17 @@ def history_order(records):
 
 
 def main() -> int:
-    records = history_order([read_record(path) for path in ROOT.glob("BENCH_*.json")])
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    records = history_order([read_record(path) for path in paths])
+    cpus = {path.name: read_cpus(path) for path in paths}
     parents = {name: parent[:7] for name, parent, _ in records}
     rows = chain((name, medians) for name, _, medians in records)
     for workload, metric in sorted(rows, key=lambda key: (key[0], METRICS.index(key[1]))):
         print(workload, metric)
+        changed = cpu_changes([name for name, _, _ in rows[(workload, metric)]], cpus)
         for name, ratio, product in rows[(workload, metric)]:
-            print(f"  {name:40s} {parents[name]}  ratio {ratio:.3f}  product {product:.3f}")
+            mark = f"  cpus {changed[name][0]} -> {changed[name][1]}" if name in changed else ""
+            print(f"  {name:40s} {parents[name]}  ratio {ratio:.3f}  product {product:.3f}{mark}")
     return 0
 
 

@@ -10,11 +10,14 @@ coefficients against log(n*m).
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bem
 from .bem import BemConfig, FitResult, _check_cluster_counts, fit
 from .errors import AllRestartsFailed, ParamValidationError
 from .model import BinaryMatrix, CovariateTable
@@ -82,16 +85,76 @@ def pick_best(cells) -> tuple:
     return (chosen.g, chosen.d)
 
 
+_POOL = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The process-wide executor: one spawn worker per usable CPU at most,
+    each started when a task finds no idle worker."""
+    global _POOL
+    if _POOL is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _POOL = ProcessPoolExecutor(_usable_cpus(), mp_context=multiprocessing.get_context("spawn"))
+        atexit.register(_POOL.shutdown)
+    return _POOL
+
+
+def _fit_cell(x, y, g, d, cfg):
+    """One cell's fit, or its AllRestartsFailed as a value."""
+    try:
+        return fit(x, y, g, d, cfg)
+    except AllRestartsFailed as exc:
+        return exc
+
+
+def _fit_cells(x, y, cells):
+    """_fit_cell of each (g, d, cfg) in cells, in their order.
+
+    The cells run in the process pool, the largest g*d first so that the
+    largest does not run last beside an idle worker, unless one CPU is
+    usable, there is one cell, or fit has been replaced (a replacement
+    cannot cross a process boundary): then they run here, in order.
+    Either way the first exception in cell order is raised, and a cell's
+    bytes do not depend on where it ran. Cells still queued in the pool
+    are cancelled on the way out.
+    """
+    if len(cells) < 2 or fit is not bem.fit or _usable_cpus() < 2:
+        return [_fit_cell(x, y, *cell) for cell in cells]
+    pool = _pool()
+    futures = {}
+    try:
+        for i in sorted(range(len(cells)), key=lambda i: -cells[i][0] * cells[i][1]):
+            futures[i] = pool.submit(_fit_cell, x, y, *cells[i])
+        return [futures[i].result() for i in range(len(cells))]
+    finally:
+        for future in futures.values():
+            future.cancel()
+
+
 def select(
     x: BinaryMatrix, y: CovariateTable, g_range, d_range, cfg: BemConfig | None = None
 ) -> BicGrid:
     """Fit every (g, d) in the ranges and choose by the criterion.
 
     Each cell gets its own deterministic seed derived from cfg.seed, so
-    the whole grid is reproducible and cells are independent. A cell
-    whose restarts all fail is recorded under failures and excluded.
-    Every pair is checked against the data's shape, as fit checks it,
-    before the first cell is fitted.
+    the whole grid is reproducible and cells are independent. They are
+    fitted on min(usable CPUs, cells) spawn workers kept for the life of
+    the process, with the bytes of a fit here (see _fit_cells); spawn
+    re-imports the main module, so a script that calls select needs an
+    `if __name__ == "__main__":` guard. A cell whose restarts all fail
+    is recorded under failures and excluded; any other exception of a
+    cell is raised, the first in pair order. Every pair is checked
+    against the data's shape, as fit checks it, before the first cell
+    is fitted.
     """
     if cfg is None:
         cfg = BemConfig()
@@ -104,13 +167,12 @@ def select(
     for g, d in pairs:
         _check_cluster_counts(x.n, x.m, g, d)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(len(pairs), dtype=np.uint64)
+    cells = [(g, d, replace(cfg, seed=int(s))) for (g, d), s in zip(pairs, seeds)]
     entries = {}
     failures = {}
-    for (g, d), cell_seed in zip(pairs, seeds):
-        try:
-            result = fit(x, y, g, d, replace(cfg, seed=int(cell_seed)))
-        except AllRestartsFailed as exc:
-            failures[(g, d)] = str(exc)
+    for (g, d), result in zip(pairs, _fit_cells(x, y, cells)):
+        if isinstance(result, AllRestartsFailed):
+            failures[(g, d)] = str(result)
             continue
         f_star = result.final_free_energy
         entries[(g, d)] = GridCell(

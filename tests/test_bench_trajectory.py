@@ -5,16 +5,19 @@ import json
 
 import pytest
 
-from bench_trajectory import chain, read_record
+from bench_trajectory import chain, cpu_changes, read_cpus, read_record
 
 
-def _write(path, parent, medians):
+def _write(path, parent, medians, env=None):
     """A record whose summaries hold medians {(workload, metric): (parent, change)}."""
     workloads = {}
     for (workload, metric), (p, c) in medians.items():
         summary = workloads.setdefault(workload, {"summary": {}})["summary"]
         summary[metric] = {"parent_median": p, "change_median": c}
-    path.write_text(json.dumps({"parent_commit": parent, "workloads": workloads}))
+    doc = {"parent_commit": parent, "workloads": workloads}
+    if env is not None:
+        doc["env"] = env
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -39,3 +42,20 @@ def test_ratios_chain_per_workload(tmp_path):
     assert (rss_a, rss_a_product) == (pytest.approx(0.8), pytest.approx(0.8))
     assert (rss_b, rss_b_product) == (0.5, pytest.approx(0.4))
     assert ("fit", "peak_rss_mb") not in rows
+
+
+def test_a_change_of_usable_cpus_is_marked(tmp_path):
+    medians = {("select", "op_s"): (1.0, 0.6)}
+    paths = [
+        _write(tmp_path / "BENCH_a.json", "aaa", medians, {"nproc": 2}),
+        # the affinity count wins over nproc when both are recorded
+        _write(tmp_path / "BENCH_b.json", "bbb", medians, {"nproc": 8, "affinity_cpus": 2}),
+        _write(tmp_path / "BENCH_c.json", "ccc", medians, {"nproc": 4, "affinity_cpus": 4}),
+        # a file without env says nothing about its host
+        _write(tmp_path / "BENCH_d.json", "ddd", medians),
+        _write(tmp_path / "BENCH_e.json", "eee", medians, {"nproc": 4, "affinity_cpus": 4}),
+    ]
+    cpus = {path.name: read_cpus(path) for path in paths}
+    assert cpus == {"BENCH_a.json": 2, "BENCH_b.json": 2, "BENCH_c.json": 4,
+                    "BENCH_d.json": None, "BENCH_e.json": 4}
+    assert cpu_changes([path.name for path in paths], cpus) == {"BENCH_c.json": (2, 4)}

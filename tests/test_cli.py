@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import coblock as cb
-from coblock import cli
+from coblock import bem, cli, selection
 from coblock.cli import main
 from coblock.dataio import load_dataset, read_labels_csv, read_params_json, write_params_json
 from coblock.errors import ParamValidationError
@@ -400,12 +400,45 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def _modules_loaded_by_import(*packages):
+    code = ("import coblock, coblock.cli, sys; "
+            f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_path_loads_no_scipy():
     """scipy is a test-only dependency: importing the package and its CLI
     must not load it, nor its memory and import time."""
-    code = ("import coblock, coblock.cli, sys; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert _modules_loaded_by_import("scipy") == []
+
+
+def test_import_path_loads_no_process_pool():
+    """select's process pool is imported when select first uses it, so a
+    fit or an influence run never pays for it."""
+    assert _modules_loaded_by_import("multiprocessing", "concurrent") == []
+
+
+def test_select_command_exits_cleanly_with_its_workers(tmp_path, monkeypatch):
+    """`python -m coblock select` fits its cells in worker processes: it
+    exits 0 with nothing on stderr, no worker outlives it (a live worker
+    would hold the pipes open past the timeout), and it writes the bytes
+    of an in-process run."""
+    write_params_json(tmp_path / "truth.json", cb.separated_params(2, 2, p=1, seed=3))
+    assert main(["simulate", "--params", str(tmp_path / "truth.json"), "--n", "40",
+                 "--m", "12", "--out", str(tmp_path / "sim"), "--seed", "9"]) == 0
+    argv = ["select", "--x", str(tmp_path / "sim" / "x.csv"), "--y",
+            str(tmp_path / "sim" / "y.csv"), "--restarts", "2", "--seed", "1",
+            "--g-range", "1:2", "--d-range", "1:2", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "coblock", *argv, str(tmp_path / "pool")],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    monkeypatch.setattr(selection, "fit", lambda *a: bem.fit(*a))
+    assert main([*argv, str(tmp_path / "here")]) == 0
+    for name in ("bic_grid.csv", "manifest.json"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()

@@ -1,7 +1,10 @@
 """BIC-style criterion and the (g, d) grid search."""
 
+import dataclasses
 import math
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import coblock as cb
 from coblock import bem, selection
 from coblock.bem import BemConfig
-from coblock.errors import ParamValidationError
+from coblock.errors import DimensionMismatch, ParamValidationError
 from coblock.model import ModelParams
 from coblock.selection import GridCell, bic, gaussian_param_count, pick_best, select
 
@@ -123,8 +126,10 @@ class TestSelect:
 
     def test_failed_cell_is_recorded_and_excluded(self, monkeypatch):
         sim = self.one_block_data()
-        # mass floor above n/g makes every g=3 restart collapse
+        # mass floor above n/g makes every g=3 restart collapse; a worker
+        # process would not see the patch, so the cells run in-process
         monkeypatch.setattr(bem, "_MIN_CLUSTER_MASS", 25.0)
+        in_process(monkeypatch)
         cfg = BemConfig(n_restarts=2, seed=7)
         grid = select(sim.x, sim.y, [1, 3], [1], cfg)
         assert (3, 1) in grid.failures
@@ -145,3 +150,98 @@ class TestSelect:
         with pytest.raises(ParamValidationError, match=re.escape(message)):
             select(sim.x, sim.y, range(1, 3), range(1, 14))
         assert calls == []
+
+
+def in_process(monkeypatch):
+    """Make select fit its cells here: a replaced fit never crosses into
+    the worker processes."""
+    monkeypatch.setattr(selection, "fit", lambda *a: bem.fit(*a))
+
+
+def two_row_kinds():
+    """Twelve rows of two distinct kinds: every g = 3 restart collapses a
+    row cluster, so those cells fail with AllRestartsFailed."""
+    rng = np.random.default_rng(0)
+    x = np.repeat(rng.integers(0, 2, (2, 10)), 6, axis=0)
+    y = np.repeat(np.array([[0.0], [5.0]]), 6, axis=0)
+    return cb.BinaryMatrix(x), cb.CovariateTable(y)
+
+
+def grid_bytes(grid):
+    """Everything a BicGrid holds, as bytes and plain values."""
+    cells = {
+        key: (
+            c.bic,
+            c.fit.free_energy_trace.tobytes(),
+            c.fit.params.coefs.tobytes(),
+            c.fit.params.means.tobytes(),
+            c.fit.params.covs.tobytes(),
+            c.fit.params.row_props.tobytes(),
+            c.fit.params.col_props.tobytes(),
+            c.fit.assignments.row_probs.tobytes(),
+            c.fit.assignments.col_probs.tobytes(),
+            c.fit.converged,
+            c.fit.n_iters,
+        )
+        for key, c in grid.entries.items()
+    }
+    return cells, grid.failures, grid.best
+
+
+class TestCellPool:
+    """select's cells run in a pool of spawn workers unless fit is
+    replaced; both paths must give the same grid and the same errors."""
+
+    def test_pool_and_in_process_grids_are_bit_identical(self, monkeypatch):
+        x, y = two_row_kinds()
+        cfg = BemConfig(n_restarts=2, seed=1)
+        pooled = select(x, y, range(1, 4), range(1, 4), cfg)
+        if selection._usable_cpus() > 1:
+            assert selection._POOL is not None
+        in_process(monkeypatch)
+        here = select(x, y, range(1, 4), range(1, 4), cfg)
+        assert set(pooled.failures) == {(3, 1), (3, 2), (3, 3)}
+        assert len(pooled.entries) == 6
+        assert grid_bytes(pooled) == grid_bytes(here)
+
+    def test_worker_error_is_raised_as_in_process(self, monkeypatch):
+        x, _ = two_row_kinds()
+        short_y = cb.CovariateTable(np.zeros((x.n - 1, 1)))
+        cfg = BemConfig(n_restarts=1, seed=2)
+        with pytest.raises(DimensionMismatch) as pooled:
+            select(x, short_y, range(1, 4), range(1, 4), cfg)
+        # the pool is still usable afterwards
+        x, y = two_row_kinds()
+        after = select(x, y, [1, 2], [1, 2], cfg)
+        in_process(monkeypatch)
+        with pytest.raises(DimensionMismatch) as here:
+            select(x, short_y, range(1, 4), range(1, 4), cfg)
+        assert str(pooled.value) == str(here.value) == "x has 12 rows but y has 11"
+        assert grid_bytes(after) == grid_bytes(select(x, y, [1, 2], [1, 2], cfg))
+
+    def test_a_failed_cell_cancels_the_queued_ones(self, monkeypatch):
+        # one worker: the failing cell (a seed below 0, which BemConfig
+        # would refuse and SeedSequence raises on) is the largest, so it
+        # runs first and fails at once; the slow cells queued behind it
+        # must not run
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
+        futures = []
+
+        def submit(*args):
+            futures.append(ProcessPoolExecutor.submit(pool, *args))
+            return futures[-1]
+
+        monkeypatch.setattr(pool, "submit", submit)
+        monkeypatch.setattr(selection, "_POOL", pool)
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        sim = cb.generate(cb.SimConfig(n=300, m=60, params=cb.separated_params(2, 2), seed=1))
+        slow = BemConfig(n_restarts=10, free_energy_rel_tol=0.0, max_outer_iters=50)
+        bad = BemConfig()
+        object.__setattr__(bad, "seed", -1)
+        cells = [(3, 3, bad)] + [(1, 1, dataclasses.replace(slow, seed=s)) for s in range(12)]
+        try:
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                selection._fit_cells(sim.x, sim.y, cells)
+            assert sum(f.cancelled() for f in futures) >= 6
+        finally:
+            pool.shutdown()
