@@ -19,7 +19,9 @@ The output holds `what`, `command`, `method`, `parent_commit`, `env`
 this process may run on: select_grid's op_s scales with it, since select
 fits its cells on one worker process per usable CPU) and, per workload, the seeds, which side
 ran first, the per-run `op_s`, `peak_rss_mb`, `setup_s`, `attempted` and
-`failed` of each side, and a `summary`: median and quartiles of each
+`failed` of each side, its `failures` (per run, the list of perfbench's
+"op N failed: reason" lines and of its "op N raised:" lines, each with the
+last line of the traceback), and a `summary`: median and quartiles of each
 metric per side, the number of pairs in which the change reads lower,
 the relative change of the medians and the failed-operation share. If
 --out exists and was made against the same parent commit, the workloads
@@ -58,8 +60,28 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+FAILED_OP = re.compile(r"perfbench: \S+ op \d+ (failed: |raised:$)")
+
+
+def failed_ops(stderr: str) -> list:
+    """perfbench's lines on failed operations, in order: each "op N failed:
+    reason" line as printed, and each "op N raised:" line with the last
+    line of its traceback appended."""
+    out, raised = [], None
+    for line in stderr.splitlines():
+        if line.startswith("perfbench: "):
+            failed = FAILED_OP.match(line)
+            if failed:
+                out.append(line)
+            raised = line if failed and line.endswith("raised:") else None
+        elif raised is not None and line.strip():
+            out[-1] = f"{raised} {line.strip()}"
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """One perfbench run; returns (metrics, attempted, failed, env)."""
+    """One perfbench run; returns (metrics, attempted, failed, failures, env),
+    failures being failed_ops of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -71,7 +93,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     result = json.loads(lines[-1])
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     metrics = {k: round(result["metrics"][k]["value"], 6) for k in METRICS}
-    return metrics, result["attempted"], result["failed"], env
+    return metrics, result["attempted"], result["failed"], failed_ops(proc.stderr), env
 
 
 def dump(doc) -> str:
@@ -109,18 +131,20 @@ def summarize(parent: dict, change: dict) -> dict:
 
 def bench(workload, seeds, seconds, parent_dir, log):
     sides = {"parent": parent_dir, "change": ROOT}
-    runs = {s: {k: [] for k in (*METRICS, "attempted", "failed")} for s in sides}
+    runs = {s: {k: [] for k in (*METRICS, "attempted", "failed", "failures")} for s in sides}
     first, env = [], {}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
-            metrics, attempted, failed, run_env = run_once(sides[side], workload, seed, seconds)
+            metrics, attempted, failed, failures, run_env = run_once(
+                sides[side], workload, seed, seconds)
             env = env or run_env
             for k in METRICS:
                 runs[side][k].append(metrics[k])
             runs[side]["attempted"].append(attempted)
             runs[side]["failed"].append(failed)
+            runs[side]["failures"].append(failures)
             print(f"{workload} seed {seed} {side}: op_s {metrics['op_s']:.4f} "
                   f"failed {failed}/{attempted}", file=log, flush=True)
     entry = {"seeds": list(seeds), "first": first, **runs,

@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     ParamValidationError,
     ParseError,
+    WorkerLost,
 )
 from .influence import influence_report
 from .model import BinaryMatrix, CovariateTable, HardLabels, ModelParams, SoftAssignments
@@ -48,6 +49,7 @@ __all__ = [
     "ParseError",
     "SimConfig",
     "SoftAssignments",
+    "WorkerLost",
     "fit",
     "generate",
     "influence_report",

@@ -31,7 +31,10 @@ ColStats per column posterior r holds x @ r and the column masses. Each
 E-step returns the free energy at its posterior from its softmax
 normalizers, so free_energy runs after the two M-steps of a sweep only.
 fit runs restarts and split-merge refits alike, as fits from given soft
-assignments in one loop under one acceptance rule.
+assignments in one loop under one acceptance rule, and does each piece
+of start work once: a fit is blind to cluster names up to round-off, so
+a restart whose starting partitions rename an earlier one's is not
+fitted, and split-merge sharpens each distinct split once.
 
 x is stored as uint8, and its three products (x @ r, lin @ x in the
 column scores, x.T @ F in the column features) run through _x_product,
@@ -89,13 +92,15 @@ class BemConfig:
     init_strategy and cov_weight have one value each. "kmeans_like": each
     restart starts from k-means++-seeded Lloyd runs on the rows, then the
     columns. "1": the free energy and row E-step count a row's covariate
-    density once, as the model draws it. split_merge_rounds caps the
-    rounds of merge-and-split refinement that fit runs after the restarts
-    (see _merge_split_candidates); it targets optima where one true column
-    cluster is fitted twice while two others share a cluster, and a round
-    that does not raise the free energy ends it. A fit stops once a sweep
-    raises the free energy by less than free_energy_rel_tol * |F|; a
-    tolerance of 0 disables that test, so every fit runs exactly
+    density once, as the model draws it. n_restarts is the number of
+    starts drawn; fit fits each distinct one, so a start that renames an
+    earlier one's partitions costs its draws only. split_merge_rounds caps
+    the rounds of merge-and-split refinement that fit runs after the
+    restarts (see _merge_split_candidates); it targets optima where one
+    true column cluster is fitted twice while two others share a cluster,
+    and a round that does not raise the free energy ends it. A fit stops
+    once a sweep raises the free energy by less than free_energy_rel_tol *
+    |F|; a tolerance of 0 disables that test, so every fit runs exactly
     max_outer_iters sweeps (a fixed point would otherwise end it early at
     any positive tolerance). The M-steps read the module constants
     _NR_MAX_ITERS, _NR_GRAD_TOL, _PREDICTOR_BOUND, _RIDGE and
@@ -607,24 +612,33 @@ def _weighted_col_sums(x: BinaryMatrix, weights, aug) -> np.ndarray:
     return _x_product(x.values, left=feats.T).T.copy()
 
 
-def _init_assignments(x, y, g, d, rng: np.random.Generator):
-    """Starting soft assignments for one restart.
+def _restart_starts(x, y, g, d, children):
+    """(key, (t, r)) of one restart per SeedSequence child, in order.
 
-    First clusters rows on (covariates, row means), then clusters
+    Each restart clusters the rows on (covariates, row means), then the
     columns on per-row-cluster block means together with the
-    within-cluster covariance between cells and covariates; the latter
-    separates column clusters that differ only through covariate slopes.
+    within-cluster covariance between cells and covariates (the latter
+    separates column clusters that differ only through covariate slopes),
+    drawing from its own child's rng. The row features are built once,
+    and the column features once per distinct row labeling. key holds the
+    _partition_key of both labelings: two starts with equal keys differ
+    only by cluster names.
     """
     row_feats = _standardize(np.hstack([y.values, x.values.mean(axis=1, keepdims=True)]))
-    z0 = _lloyd(row_feats, g, rng)
-    onehot = np.eye(g)[z0]
-    weights = onehot / np.maximum(onehot.sum(axis=0), 1.0)
-    aug = y.augmented.copy()
-    aug[:, 1:] -= (weights.T @ y.values)[z0]
-    col_feats = _standardize(_weighted_col_sums(x, weights, aug))
-    t = _soft_from_hard(z0, g)
-    r = _soft_from_hard(_lloyd(col_feats, d, rng), d)
-    return t, r
+    col_feats = {}
+    for child in children:
+        rng = np.random.default_rng(child)
+        z0 = _lloyd(row_feats, g, rng)
+        rows = z0.tobytes()
+        if rows not in col_feats:
+            onehot = np.eye(g)[z0]
+            weights = onehot / np.maximum(onehot.sum(axis=0), 1.0)
+            aug = y.augmented.copy()
+            aug[:, 1:] -= (weights.T @ y.values)[z0]
+            col_feats[rows] = _standardize(_weighted_col_sums(x, weights, aug))
+        w0 = _lloyd(col_feats[rows], d, rng)
+        key = _partition_key(z0), _partition_key(w0)
+        yield key, (_soft_from_hard(z0, g), _soft_from_hard(w0, d))
 
 
 def _row_m_step(y, t, col_props, coefs, predictors) -> ParamTerms:
@@ -683,12 +697,29 @@ def _single_fit(x, y, g, d, cfg: BemConfig, init) -> FitResult:
     )
 
 
-def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two labelings of the same items group them alike, up to a
-    renaming of the labels: each label of a meets exactly one label of b
-    and the other way round."""
-    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
-    return pairs == np.unique(a).size == np.unique(b).size
+def _partition_key(labels: np.ndarray) -> bytes:
+    """The labels renamed in order of first appearance, as bytes: two
+    labelings of the same items have equal keys exactly when they group
+    the items alike."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse].tobytes()
+
+
+def _sharpen(x, y, t, cols, halves):
+    """Three rounds of two-block column EM on the columns cols (the rest of
+    x weighs 0), row posteriors t fixed, mixing weights uniform (log rho =
+    0); purifies a noisy 2-means nucleation so the refit does not wash it
+    out. Blind to the names of the halves: renamed halves give the renamed
+    result."""
+    r = np.zeros((x.m, 2))
+    r[cols] = _soft_from_hard(halves, 2)
+    beta, pred = np.zeros((t.shape[1], 2, y.p + 1)), None
+    for _ in range(3):
+        beta, _, pred = m_step_beta(y, t, ColStats.of(x, r), beta, pred)
+        r[cols], _ = _softmax_rows(_col_logits(x.values, t, pred, np.ones(2))[cols])
+    return r[cols].argmax(axis=1)
 
 
 def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
@@ -701,7 +732,9 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     heterogeneous clusters are tried as split targets. A candidate that
     groups the columns as an earlier candidate does, up to cluster names,
     is dropped once its rng draws are taken (so later draws do not move),
-    and each distinct partition is refit once. A candidate that
+    and each distinct partition is refit once. Likewise _sharpen runs once
+    per distinct split, a target's columns with its 2-means halves up to
+    names, and a repeat takes the stored result renamed. A candidate that
     reproduces result's own partition stays: its refit starts from
     result's row posteriors and may still gain.
     Heterogeneity and the 2-means splits both use per-column
@@ -710,7 +743,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     deviations are unit-scale noise for every block, so the ranking is
     not hijacked by mid-scale blocks' larger binomial variance, and
     clusters differing only through covariate slopes still separate.
-    Targets take their rows of one product with x per call, and sharpen
+    Targets take their rows of one product with x per call, and _sharpen
     on all of x with the other columns weighing 0: no column is copied.
     """
     t = result.assignments.row_probs
@@ -733,7 +766,6 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
     moves.sort()
 
     aug = y.augmented
-    g = t.shape[1]
     sums = _weighted_col_sums(x, t, aug)
 
     def score_feats(cols, target):
@@ -741,19 +773,7 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
         fisher = np.sqrt((t * sig * (1.0 - sig)).T @ aug**2 + 1e-12)
         return sums[cols] / fisher.reshape(-1)
 
-    def sharpen(cols, halves):
-        """Three rounds of two-block column EM on the columns cols (the rest of
-        x weighs 0), row posteriors fixed, mixing weights uniform (log rho = 0);
-        purifies a noisy 2-means nucleation so the refit does not wash it out."""
-        r = np.zeros((x.m, 2))
-        r[cols] = _soft_from_hard(halves, 2)
-        beta, pred = np.zeros((g, 2, aug.shape[1])), None
-        for _ in range(3):
-            beta, _, pred = m_step_beta(y, t, ColStats.of(x, r), beta, pred)
-            r[cols], _ = _softmax_rows(_col_logits(x.values, t, pred, np.ones(2))[cols])
-        return r[cols].argmax(axis=1)
-
-    candidates, labs = [], []
+    candidates, seen, sharpened = [], set(), {}
     for _, b, a in moves[:_SPLIT_MERGE_MOVES]:
         merged = w.copy()
         merged[merged == b] = a
@@ -770,7 +790,14 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
             halves = _lloyd(sf, 2, rng)
             if halves.min() == halves.max():
                 continue
-            halves = sharpen(cols, halves)
+            split = cols.tobytes(), _partition_key(halves)
+            if split not in sharpened:
+                sharpened[split] = halves, _sharpen(x, y, t, cols, halves)
+            named, out = sharpened[split]
+            # _sharpen is blind to the halves' names: name its result as halves
+            rename = np.empty(2, dtype=out.dtype)
+            rename[named] = halves
+            halves = rename[out]
             if halves.min() == halves.max():
                 continue
             lab = merged.copy()
@@ -778,9 +805,10 @@ def _merge_split_candidates(x, y, result: FitResult, rng: np.random.Generator):
             # refits are deterministic and, up to round-off, blind to
             # cluster names: a partition already queued this round would
             # only repeat an earlier refit, which ties under _gains
-            if any(_same_partition(lab, seen) for seen in labs):
+            key = _partition_key(lab)
+            if key in seen:
                 continue
-            labs.append(lab)
+            seen.add(key)
             candidates.append((t, _soft_from_hard(lab, d)))
     return candidates
 
@@ -807,11 +835,14 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
     Every start runs through one loop under one rule: a fit replaces the
     one kept only if its free energy is higher by more than the trace
     slack (1e-9 relative), so round-off ties never decide, and a start
-    that collapses a cluster is skipped. Round 0 runs cfg.n_restarts
-    initializations (sub-seeded from cfg.seed) with none kept, and raises
-    AllRestartsFailed if all collapse. Each of up to cfg.split_merge_rounds
-    more rounds refits the merge-and-split candidates of the fit kept; a
-    round in which no refit beats it ends the fit.
+    that collapses a cluster is skipped. Round 0 draws cfg.n_restarts
+    initializations (sub-seeded from cfg.seed) and, with none kept, fits
+    each distinct one: a restart whose starting row and column partitions
+    match, up to cluster names, those of an earlier restart that returned
+    a fit is not fitted again. Round 0 raises AllRestartsFailed if every
+    restart collapses. Each of up to cfg.split_merge_rounds more rounds
+    refits the merge-and-split candidates of the fit kept; a round in
+    which no refit beats it ends the fit.
     """
     if cfg is None:
         cfg = BemConfig()
@@ -820,18 +851,27 @@ def fit(x: BinaryMatrix, y: CovariateTable, g: int, d: int, cfg: BemConfig | Non
     _check_cluster_counts(x.n, x.m, g, d)
     best = last_error = None
     seq = np.random.SeedSequence(cfg.seed)
-    inits = (_init_assignments(x, y, g, d, np.random.default_rng(child))
-             for child in seq.spawn(cfg.n_restarts))
+    starts = _restart_starts(x, y, g, d, seq.spawn(cfg.n_restarts))
+    completed = set()  # keys of the restarts that returned a fit
     for refine in range(cfg.split_merge_rounds + 1):
         if refine:
-            inits = _merge_split_candidates(x, y, best, np.random.default_rng(seq.spawn(1)[0]))
+            rng = np.random.default_rng(seq.spawn(1)[0])
+            # refits carry no key: _merge_split_candidates drops repeats
+            starts = ((None, init) for init in _merge_split_candidates(x, y, best, rng))
         kept = best
-        for init in inits:
+        for key, init in starts:
+            # a start that only renames one that returned a fit would
+            # return that fit renamed, which ties under _gains; a repeat of
+            # a start that failed runs, so last_error stays as it was
+            if key in completed:
+                continue
             try:
                 result = _single_fit(x, y, g, d, cfg, init)
             except (EmptyCluster, NotPositiveDefinite) as exc:
                 last_error = exc
                 continue
+            if key is not None:
+                completed.add(key)
             if _gains(result, best):
                 best = result
         if best is None:

@@ -29,6 +29,10 @@ class AllRestartsFailed(CoblockError):
     """Every restart of the fit collapsed before convergence."""
 
 
+class WorkerLost(CoblockError):
+    """A worker process of select's pool died again after the pool was renewed."""
+
+
 class ParseError(CoblockError):
     """A dataset file could not be parsed; carries line/column info."""
 

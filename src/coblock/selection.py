@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bem
 from .bem import BemConfig, FitResult, _check_cluster_counts, fit
-from .errors import AllRestartsFailed, ParamValidationError
+from .errors import AllRestartsFailed, ParamValidationError, WorkerLost
 from .model import BinaryMatrix, CovariateTable
 
 NEAR_TIE_WINDOW = 2.0
@@ -116,6 +116,16 @@ def _fit_cell(x, y, g, d, cfg):
         return exc
 
 
+def _drop_pool() -> None:
+    """Shut a broken pool down, which settles all its futures, and forget
+    it: the next _pool() starts a fresh one."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        atexit.unregister(pool.shutdown)
+        pool.shutdown()
+
+
 def _fit_cells(x, y, cells):
     """_fit_cell of each (g, d, cfg) in cells, in their order.
 
@@ -125,16 +135,39 @@ def _fit_cells(x, y, cells):
     cannot cross a process boundary): then they run here, in order.
     Either way the first exception in cell order is raised, and a cell's
     bytes do not depend on where it ran. Cells still queued in the pool
-    are cancelled on the way out.
+    are cancelled on the way out. If a worker dies, the pool is dropped
+    and the cells it had not finished run once more on a fresh one; a
+    second death raises WorkerLost, naming a cell it cost.
     """
     if len(cells) < 2 or fit is not bem.fit or _usable_cpus() < 2:
         return [_fit_cell(x, y, *cell) for cell in cells]
-    pool = _pool()
+    # imported here: multiprocessing would add 2 MB to every process that imports coblock
+    from concurrent.futures.process import BrokenProcessPool
+
+    def lost(future):  # a future of a broken pool, or not yet run
+        return not future.done() or isinstance(future.exception(), BrokenProcessPool)
+
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][0] * cells[i][1])
     futures = {}
     try:
-        for i in sorted(range(len(cells)), key=lambda i: -cells[i][0] * cells[i][1]):
-            futures[i] = pool.submit(_fit_cell, x, y, *cells[i])
-        return [futures[i].result() for i in range(len(cells))]
+        for renewed in (False, True):
+            try:
+                pool = _pool()
+                for i in order:
+                    if i not in futures or lost(futures[i]):
+                        cell = cells[i]
+                        futures[i] = pool.submit(_fit_cell, x, y, *cell)
+                results = []
+                for i, cell in enumerate(cells):
+                    results.append(futures[i].result())
+                return results
+            except BrokenProcessPool as exc:
+                _drop_pool()
+                if renewed:
+                    raise WorkerLost(
+                        f"a select worker process died twice, the second time with cell "
+                        f"(g={cell[0]}, d={cell[1]}) unfitted: {exc}"
+                    ) from exc
     finally:
         for future in futures.values():
             future.cancel()
@@ -152,7 +185,9 @@ def select(
     re-imports the main module, so a script that calls select needs an
     `if __name__ == "__main__":` guard. A cell whose restarts all fail
     is recorded under failures and excluded; any other exception of a
-    cell is raised, the first in pair order. Every pair is checked
+    cell is raised, the first in pair order. A worker that dies costs its
+    cells one more run on a fresh pool, with the same bytes; if a worker
+    of that pool dies too, select raises WorkerLost. Every pair is checked
     against the data's shape, as fit checks it, before the first cell
     is fitted.
     """

@@ -36,7 +36,7 @@ because the package does not call them:
     afresh from its parameters, which a fit never builds: it hands on
     the terms its M-steps return.
   - init_col_features, the standardized column features of
-    coblock.bem._init_assignments built one row cluster at a time from
+    coblock.bem._restart_starts built one row cluster at a time from
     that cluster's rows of x, as the package built them before it formed
     them with one product.
   - lloyd_ten_steps, coblock.bem._lloyd as it ran before it stopped at
@@ -262,7 +262,7 @@ def param_terms(y: CovariateTable, params: ModelParams) -> bem.ParamTerms:
 def init_col_features(x: BinaryMatrix, y: CovariateTable, z0: np.ndarray, g: int) -> np.ndarray:
     """Per row cluster k of z0: each column's mean over the cluster's rows,
     then its covariance with the cluster-centred covariates; zeros for an
-    empty cluster. Standardized as _init_assignments clusters them."""
+    empty cluster. Standardized as _restart_starts clusters them."""
     blocks = []
     for k in range(g):
         mask = z0 == k

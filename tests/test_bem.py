@@ -798,6 +798,7 @@ class TestFit:
             return replace(kept, free_energy_trace=np.append(tr[:-1], tr[-1] + rel * abs(tr[-1])))
 
         tie, gain = raised(1e-14), raised(1e-6)
+        distinct_starts(monkeypatch)
         for later, wins in ((tie, False), (gain, True)):
             results = iter([kept, later])
             monkeypatch.setattr(bem, "_single_fit", lambda *a, **k: next(results))
@@ -843,6 +844,7 @@ class TestFit:
 
         monkeypatch.setattr(bem, "_single_fit", scripted)
         monkeypatch.setattr(bem, "_merge_split_candidates", candidates)
+        distinct_starts(monkeypatch)
         got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=3, split_merge_rounds=3))
         assert got is first_round[1]
         # the second round kept its incumbent, so no third round ran
@@ -953,7 +955,7 @@ class TestFit:
         )
         cfg = BemConfig(n_restarts=1, split_merge_rounds=0, free_energy_rel_tol=0.0,
                         max_outer_iters=4)
-        init = bem._init_assignments(sim.x, sim.y, 2, 3, np.random.default_rng(2))
+        _, init = next(bem._restart_starts(sim.x, sim.y, 2, 3, [np.random.SeedSequence(2)]))
         res = bem._single_fit(sim.x, sim.y, 2, 3, cfg, init)
         # the E-steps return their own free energy, so free_energy runs
         # once at the start and after each M-step: call 2k+1 follows a
@@ -1102,7 +1104,7 @@ class TestFit:
             return z0 if len(seen) == 1 else np.arange(feats.shape[0]) % k
 
         monkeypatch.setattr(bem, "_lloyd", lloyd)
-        bem._init_assignments(x, y, 3, 2, np.random.default_rng(0))
+        next(bem._restart_starts(x, y, 3, 2, [np.random.SeedSequence(0)]))
         got = seen[1]
         q = p + 1
         np.testing.assert_allclose(got, init_col_features(x, y, z0, 3), rtol=1e-12)
@@ -1190,17 +1192,33 @@ def _fit_bytes(res: FitResult):
 labelings = st.lists(st.integers(0, 3), min_size=1, max_size=12).map(np.array)
 
 
+def distinct_starts(monkeypatch):
+    """Give every restart a key of its own, so that a test scripting each
+    restart's outcome sees every restart run."""
+    inner = bem._restart_starts
+    monkeypatch.setattr(bem, "_restart_starts", lambda *args: (
+        (i, init) for i, (_, init) in enumerate(inner(*args))))
+
+
+def no_dedupe(monkeypatch):
+    """Make every partition key unique: fit then fits every restart,
+    _merge_split_candidates keeps every candidate and sharpens every split."""
+    monkeypatch.setattr(bem, "_partition_key", lambda labels: object())
+
+
 class TestSplitMerge:
     @given(labelings, st.permutations(range(10)))
     def test_same_partition_ignores_label_names(self, a, names):
         b = np.array(names)[a]
-        assert bem._same_partition(a, b) and bem._same_partition(b, a)
+        assert bem._partition_key(a) == bem._partition_key(b)
+        # the key does not depend on the labels' dtype
+        assert bem._partition_key(a.astype(np.int8)) == bem._partition_key(b.astype(np.uint64))
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8))
     def test_same_partition_against_reference(self, pairs):
         a, b = (np.array(v) for v in zip(*pairs))
         want = _canonical(a) == _canonical(b)
-        assert bem._same_partition(a, b) == want == bem._same_partition(b, a)
+        assert (bem._partition_key(a) == bem._partition_key(b)) == want
 
     @given(labelings, st.data())
     def test_moved_column_or_merged_clusters_differ(self, a, data):
@@ -1211,7 +1229,7 @@ class TestSplitMerge:
         moved[j] = data.draw(st.sampled_from([v for v in used if v != a[j]]))
         merged = np.where(a == used[0], used[1], a)
         for b in (moved, merged):
-            assert not bem._same_partition(a, b) and not bem._same_partition(b, a)
+            assert bem._partition_key(a) != bem._partition_key(b)
 
     def test_repeated_partition_is_refit_once(self, monkeypatch):
         # cell (3, 2) of `select --g-range 1:3 --d-range 1:2 --seed 1` on
@@ -1222,15 +1240,16 @@ class TestSplitMerge:
         sim = cb.generate(cb.SimConfig(n=40, m=12, params=truth, seed=9))
         cell_seed = np.random.SeedSequence(1).generate_state(6, dtype=np.uint64)[5]
         cfg = BemConfig(n_restarts=2, seed=int(cell_seed))
-        calls = []
-        inner = bem._single_fit
-        monkeypatch.setattr(bem, "_single_fit", lambda *args: calls.append(1) or inner(*args))
+        rounds = []
+        inner = bem._merge_split_candidates
+        monkeypatch.setattr(bem, "_merge_split_candidates",
+                            lambda *args: rounds.append(inner(*args)) or rounds[-1])
         got = fit(sim.x, sim.y, 3, 2, cfg)
-        refits = len(calls) - cfg.n_restarts
-        calls.clear()
-        monkeypatch.setattr(bem, "_same_partition", lambda a, b: False)
+        refits = sum(map(len, rounds))
+        rounds.clear()
+        no_dedupe(monkeypatch)
         unfiltered = fit(sim.x, sim.y, 3, 2, cfg)
-        assert (refits, len(calls) - cfg.n_restarts) == (2, 4)
+        assert (refits, sum(map(len, rounds))) == (2, 4)
         assert _fit_bytes(got) == _fit_bytes(unfiltered)
         # the refit of the restart's own partition wins and must not be dropped
         restarts_only = fit(sim.x, sim.y, 3, 2, replace(cfg, split_merge_rounds=0))
@@ -1295,3 +1314,136 @@ class TestSplitMerge:
         for candidates in rounds:
             parts = [_canonical(r.argmax(axis=1)) for _, r in candidates]
             assert len(set(parts)) == len(parts)
+
+
+class TestDistinctStarts:
+    """fit does each piece of start work once: a restart that renames an
+    earlier one's starting partitions is not fitted, a split is sharpened
+    once per call, and the start features are built once."""
+
+    @staticmethod
+    def data():
+        truth = cb.separated_params(2, 2, p=1, seed=3)
+        return cb.generate(cb.SimConfig(n=60, m=20, params=truth, seed=4))
+
+    def test_each_distinct_restart_is_fitted_once(self, monkeypatch):
+        sim = self.data()
+        cfg = BemConfig(n_restarts=4, seed=1, split_merge_rounds=0)
+        starts = list(bem._restart_starts(sim.x, sim.y, 2, 2,
+                                          np.random.SeedSequence(1).spawn(4)))
+        keys = [key for key, _ in starts]
+        labels = [t.argmax(axis=1).tobytes() + r.argmax(axis=1).tobytes() for _, (t, r) in starts]
+        # two distinct starts; the second is drawn twice more under other
+        # cluster names
+        assert [keys.index(key) for key in keys] == [0, 1, 1, 1]
+        assert len(set(labels)) == 4
+        calls = []
+        inner = bem._single_fit
+        monkeypatch.setattr(bem, "_single_fit", lambda *args: calls.append(args[-1]) or inner(*args))
+        got = fit(sim.x, sim.y, 2, 2, cfg)
+        # the first draw of each start is the one fitted
+        assert len(calls) == 2
+        for (_, r), (_, (_, drawn)) in zip(calls, starts):
+            assert np.array_equal(r, drawn)
+        calls.clear()
+        no_dedupe(monkeypatch)
+        every = fit(sim.x, sim.y, 2, 2, cfg)
+        assert len(calls) == 4
+        assert _fit_bytes(got) == _fit_bytes(every)
+
+    def test_the_whole_fit_keeps_its_bits(self, monkeypatch):
+        # restarts, split-merge rounds and their sharpening, with and
+        # without the dedupe
+        sim = self.data()
+        cfg = BemConfig(n_restarts=6, seed=1)
+        got = fit(sim.x, sim.y, 2, 2, cfg)
+        no_dedupe(monkeypatch)
+        assert _fit_bytes(got) == _fit_bytes(fit(sim.x, sim.y, 2, 2, cfg))
+
+    def test_a_repeat_of_a_failed_start_still_runs(self, monkeypatch):
+        # every start collapses; the repeats run too, so the last failure
+        # and the AllRestartsFailed text are those of a fit without dedupe
+        sim = self.data()
+        cfg = BemConfig(n_restarts=4, seed=1)
+        monkeypatch.setattr(bem, "_MIN_CLUSTER_MASS", 1e3)
+        calls = []
+        inner = bem._single_fit
+        monkeypatch.setattr(bem, "_single_fit", lambda *args: calls.append(1) or inner(*args))
+        with pytest.raises(AllRestartsFailed) as deduped:
+            fit(sim.x, sim.y, 2, 2, cfg)
+        assert len(calls) == 4
+        no_dedupe(monkeypatch)
+        with pytest.raises(AllRestartsFailed) as every:
+            fit(sim.x, sim.y, 2, 2, cfg)
+        assert str(deduped.value) == str(every.value)
+        assert str(deduped.value).startswith("all 4 restarts failed; last failure: row cluster")
+
+    def test_only_a_completed_start_is_not_repeated(self, monkeypatch):
+        # one start drawn three times: it fails, runs again and completes,
+        # and its third draw is not fitted
+        sim = self.data()
+        done = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=1, split_merge_rounds=0))
+        outcomes = iter([EmptyCluster("collapsed"), done])
+
+        def scripted(*args):
+            out = next(outcomes)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        monkeypatch.setattr(bem, "_restart_starts",
+                            lambda x, y, g, d, children: (("same", None) for _ in children))
+        monkeypatch.setattr(bem, "_single_fit", scripted)
+        got = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=3, split_merge_rounds=0))
+        assert got is done and next(outcomes, None) is None
+
+    def test_each_distinct_split_is_sharpened_once(self, monkeypatch):
+        sim = self.data()
+        res = fit(sim.x, sim.y, 2, 2, BemConfig(n_restarts=2, seed=1, split_merge_rounds=0))
+        calls, keyed = [], []
+        inner, key = bem._sharpen, bem._partition_key
+
+        def recording(x, y, t, cols, halves):
+            calls.append((cols, halves, inner(x, y, t, cols, halves)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(bem, "_sharpen", recording)
+        monkeypatch.setattr(bem, "_partition_key", lambda labels: keyed.append(labels) or key(labels))
+        got = bem._merge_split_candidates(sim.x, sim.y, res, np.random.default_rng(0))
+        # at d = 2 each merge leaves one cluster of all the columns to split
+        assert len(calls) == 1 and np.array_equal(calls[0][0], np.arange(sim.x.m))
+        with_memo, keyed[:], calls[:] = list(keyed), [], []
+        monkeypatch.setattr(bem, "_partition_key", lambda labels: keyed.append(labels) or object())
+        every = bem._merge_split_candidates(sim.x, sim.y, res, np.random.default_rng(0))
+        # the memo answered the second call, whose halves rename the first's
+        (_, a, out_a), (_, b, out_b) = calls
+        assert np.array_equal(b, 1 - a) and np.array_equal(out_b, 1 - out_a)
+        # every split's halves and every candidate's labels, kept or
+        # dropped, are those formed without the memo
+        assert len(with_memo) == len(keyed) == 4
+        assert all(np.array_equal(u, v) for u, v in zip(with_memo, keyed))
+        # so the candidates are too, once a repeated partition is dropped
+        first = {}
+        for t, r in every:
+            first.setdefault(_canonical(r.argmax(axis=1)), r)
+        assert len(got) == len(first)
+        for (t, r), kept in zip(got, first.values()):
+            assert t is res.assignments.row_probs and np.array_equal(r, kept)
+        # renamed halves give the renamed result, on every split tried here
+        t = res.assignments.row_probs
+        for cols, halves, out in calls:
+            assert np.array_equal(inner(sim.x, sim.y, t, cols, 1 - halves), 1 - out)
+
+    def test_start_features_are_built_once(self, monkeypatch):
+        # the row features once per fit, the column features once per
+        # distinct row labeling (n = 60 rows, m = 20 columns)
+        sim = self.data()
+        cfg = BemConfig(n_restarts=4, seed=1, split_merge_rounds=0)
+        starts = bem._restart_starts(sim.x, sim.y, 2, 2, np.random.SeedSequence(1).spawn(4))
+        row_labelings = {t.argmax(axis=1).tobytes() for _, (t, _) in starts}
+        assert len(row_labelings) == 2
+        sizes = []
+        inner = bem._standardize
+        monkeypatch.setattr(bem, "_standardize", lambda feats: sizes.append(len(feats)) or inner(feats))
+        fit(sim.x, sim.y, 2, 2, cfg)
+        assert sorted(sizes) == [20, 20, 60]

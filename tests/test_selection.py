@@ -3,16 +3,18 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import re
+import signal
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import coblock as cb
-from coblock import bem, selection
+from coblock import bem, cli, selection
 from coblock.bem import BemConfig
-from coblock.errors import DimensionMismatch, ParamValidationError
+from coblock.errors import DimensionMismatch, ParamValidationError, WorkerLost
 from coblock.model import ModelParams
 from coblock.selection import GridCell, bic, gaussian_param_count, pick_best, select
 
@@ -167,6 +169,14 @@ def two_row_kinds():
     return cb.BinaryMatrix(x), cb.CovariateTable(y)
 
 
+class FatalMatrix(cb.BinaryMatrix):
+    """A BinaryMatrix whose unpickling ends the process: every worker
+    that reads a cell of it dies, as one killed mid-task would."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
 def grid_bytes(grid):
     """Everything a BicGrid holds, as bytes and plain values."""
     cells = {
@@ -245,3 +255,34 @@ class TestCellPool:
             assert sum(f.cancelled() for f in futures) >= 6
         finally:
             pool.shutdown()
+
+    def test_a_dead_worker_costs_one_rerun(self, monkeypatch):
+        # a worker killed between two selects (SIGKILL, the OOM killer's
+        # signal) breaks the pool; the next select renews it and returns
+        # the grid a select here returns
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        x, y = two_row_kinds()
+        cfg = BemConfig(n_restarts=2, seed=1)
+        select(x, y, [1, 2], [1, 2], cfg)
+        broken = selection._POOL
+        os.kill(next(iter(broken._processes)), signal.SIGKILL)
+        pooled = select(x, y, [1, 2], [1, 2], cfg)
+        assert selection._POOL is not broken
+        in_process(monkeypatch)
+        assert grid_bytes(pooled) == grid_bytes(select(x, y, [1, 2], [1, 2], cfg))
+
+    def test_a_second_death_raises_worker_lost(self, monkeypatch, tmp_path, capsys):
+        # the cells kill the fresh pool's workers too: a CoblockError that
+        # names a cell, and exit status 1 from the CLI; the pool after it works
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        x, y = two_row_kinds()
+        cfg = BemConfig(n_restarts=1, seed=1)
+        message = r"^a select worker process died twice, the second time with cell \(g=\d, d=\d\)"
+        with pytest.raises(WorkerLost, match=message):
+            select(FatalMatrix(x.values), y, [1, 2], [1, 2], cfg)
+        monkeypatch.setattr(cli, "load_dataset", lambda *paths: (FatalMatrix(x.values), y))
+        argv = ["select", "--x", "x.csv", "--y", "y.csv", "--g-range", "1:2", "--d-range", "1:2",
+                "--restarts", "1", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: a select worker process died twice")
+        assert isinstance(select(x, y, [1, 2], [1, 2], cfg), selection.BicGrid)
