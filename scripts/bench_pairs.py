@@ -23,7 +23,11 @@ ran first, the per-run `op_s`, `peak_rss_mb`, `setup_s`, `attempted` and
 "op N failed: reason" lines and of its "op N raised:" lines, each with the
 last line of the traceback), and a `summary`: median and quartiles of each
 metric per side, the number of pairs in which the change reads lower,
-the relative change of the medians and the failed-operation share. If
+the relative change of the medians, the failed-operation share, and
+`shared_failed_share`, the failed share over the `shared_ops` operations
+that both sides ran (each seed's indices below the smaller `attempted`;
+a faster side runs more operations, and the ones only it reaches may
+fail on both commits). If
 --out exists and was made against the same parent commit, the workloads
 run now replace or join the ones it holds.
 """
@@ -61,6 +65,7 @@ def export(rev: str, dest: Path) -> str:
 
 
 FAILED_OP = re.compile(r"perfbench: \S+ op \d+ (failed: |raised:$)")
+OP_INDEX = re.compile(r"perfbench: \S+ op (\d+) ")
 
 
 def failed_ops(stderr: str) -> list:
@@ -124,6 +129,16 @@ def summarize(parent: dict, change: dict) -> dict:
         }
     out["failed_share"] = {
         side: round(sum(runs["failed"]) / max(sum(runs["attempted"]), 1), 6)
+        for side, runs in (("parent", parent), ("change", change))
+    }
+    # a faster side runs more operations in the same seconds; compare
+    # failures over the indices 0 .. min(attempted) - 1 that both ran
+    shared = [min(p, c) for p, c in zip(parent["attempted"], change["attempted"])]
+    out["shared_ops"] = sum(shared)
+    out["shared_failed_share"] = {
+        side: round(sum(int(OP_INDEX.match(line)[1]) < ops
+                        for failures, ops in zip(runs["failures"], shared)
+                        for line in failures) / max(sum(shared), 1), 6)
         for side, runs in (("parent", parent), ("change", change))
     }
     return out
@@ -193,12 +208,14 @@ def main(argv=None):
             )
             args.out.write_text(dump(doc))
     for workload in args.workload:
-        s = workloads[workload]["summary"]["op_s"]
+        summary = workloads[workload]["summary"]
+        s, shared = summary["op_s"], summary["shared_failed_share"]
         iqr = s["parent_q3"] - s["parent_q1"]
         print(f"{workload}: op_s median {s['parent_median']:.4f} -> {s['change_median']:.4f} s, "
               f"change lower in {s['change_better_pairs']}/{s['pairs']} pairs, "
               f"median gain {s['parent_median'] - s['change_median']:.4f} s "
-              f"vs parent IQR {iqr:.4f} s")
+              f"vs parent IQR {iqr:.4f} s; failed share over the {summary['shared_ops']} "
+              f"operations both ran {shared['parent']:.4f} -> {shared['change']:.4f}")
     return 0
 
 

@@ -14,6 +14,7 @@ import atexit
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -104,6 +105,8 @@ def _pool():
         from concurrent.futures import ProcessPoolExecutor
 
         _POOL = ProcessPoolExecutor(_usable_cpus(), mp_context=multiprocessing.get_context("spawn"))
+        # concurrent.futures joins the workers at exit, but a pool left to module
+        # teardown can print an ignored AttributeError from its weakref callback
         atexit.register(_POOL.shutdown)
     return _POOL
 
@@ -116,61 +119,47 @@ def _fit_cell(x, y, g, d, cfg):
         return exc
 
 
-def _drop_pool() -> None:
-    """Shut a broken pool down, which settles all its futures, and forget
-    it: the next _pool() starts a fresh one."""
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None:
-        atexit.unregister(pool.shutdown)
-        pool.shutdown()
-
-
 def _fit_cells(x, y, cells):
-    """_fit_cell of each (g, d, cfg) in cells, in their order.
+    """_fit_cell of each (g, d, cfg) in cells, returned in their order.
 
-    The cells run in the process pool, the largest g*d first so that the
-    largest does not run last beside an idle worker, unless one CPU is
+    The cells run largest g*d first, ties in cell order, so that the
+    largest does not run last beside an idle worker. They run through the
+    process pool's map, or through the builtin map here if one CPU is
     usable, there is one cell, or fit has been replaced (a replacement
-    cannot cross a process boundary): then they run here, in order.
-    Either way the first exception in cell order is raised, and a cell's
-    bytes do not depend on where it ran. Cells still queued in the pool
-    are cancelled on the way out. If a worker dies, the pool is dropped
-    and the cells it had not finished run once more on a fresh one; a
-    second death raises WorkerLost, naming a cell it cost.
+    cannot cross a process boundary). Either way the first exception in
+    that run order is raised, and a cell's bytes do not depend on where it
+    ran; the pool's map cancels the cells still queued. If a worker dies,
+    the pool is dropped and the whole call runs once more on a fresh one;
+    a second death raises WorkerLost, naming the cell being awaited.
     """
-    if len(cells) < 2 or fit is not bem.fit or _usable_cpus() < 2:
-        return [_fit_cell(x, y, *cell) for cell in cells]
-    # imported here: multiprocessing would add 2 MB to every process that imports coblock
-    from concurrent.futures.process import BrokenProcessPool
-
-    def lost(future):  # a future of a broken pool, or not yet run
-        return not future.done() or isinstance(future.exception(), BrokenProcessPool)
-
+    global _POOL
     order = sorted(range(len(cells)), key=lambda i: -cells[i][0] * cells[i][1])
-    futures = {}
-    try:
+    run = [cells[i] for i in order]
+    if len(cells) < 2 or fit is not bem.fit or _usable_cpus() < 2:
+        results = list(map(_fit_cell, repeat(x), repeat(y), *zip(*run)))
+    else:
+        # imported here: multiprocessing would add 2 MB to every process that imports coblock
+        from concurrent.futures.process import BrokenProcessPool
+
         for renewed in (False, True):
+            results = []
             try:
-                pool = _pool()
-                for i in order:
-                    if i not in futures or lost(futures[i]):
-                        cell = cells[i]
-                        futures[i] = pool.submit(_fit_cell, x, y, *cell)
-                results = []
-                for i, cell in enumerate(cells):
-                    results.append(futures[i].result())
-                return results
+                for result in _pool().map(_fit_cell, repeat(x), repeat(y), *zip(*run)):
+                    results.append(result)
+                break
             except BrokenProcessPool as exc:
-                _drop_pool()
+                # shutting a broken pool down settles its futures; the next _pool() is fresh
+                atexit.unregister(_POOL.shutdown)
+                _POOL.shutdown()
+                _POOL = None
                 if renewed:
+                    g, d, _ = run[len(results)]
                     raise WorkerLost(
                         f"a select worker process died twice, the second time with cell "
-                        f"(g={cell[0]}, d={cell[1]}) unfitted: {exc}"
+                        f"(g={g}, d={d}) unfitted: {exc}"
                     ) from exc
-    finally:
-        for future in futures.values():
-            future.cancel()
+    by_index = dict(zip(order, results))
+    return [by_index[i] for i in range(len(cells))]
 
 
 def select(
@@ -184,12 +173,13 @@ def select(
     the process, with the bytes of a fit here (see _fit_cells); spawn
     re-imports the main module, so a script that calls select needs an
     `if __name__ == "__main__":` guard. A cell whose restarts all fail
-    is recorded under failures and excluded; any other exception of a
-    cell is raised, the first in pair order. A worker that dies costs its
-    cells one more run on a fresh pool, with the same bytes; if a worker
-    of that pool dies too, select raises WorkerLost. Every pair is checked
-    against the data's shape, as fit checks it, before the first cell
-    is fitted.
+    is recorded under failures and excluded. The cells run largest g*d
+    first, ties in pair order, and any other exception of a cell is
+    raised, the first in that run order. A worker that dies costs the
+    whole grid one more run on a fresh pool, with the same bytes; if a
+    worker of that pool dies too, select raises WorkerLost. Every pair
+    is checked against the data's shape, as fit checks it, before the
+    first cell is fitted.
     """
     if cfg is None:
         cfg = BemConfig()

@@ -229,6 +229,26 @@ class TestCellPool:
         assert str(pooled.value) == str(here.value) == "x has 12 rows but y has 11"
         assert grid_bytes(after) == grid_bytes(select(x, y, [1, 2], [1, 2], cfg))
 
+    def test_both_paths_raise_the_first_error_in_run_order(self, monkeypatch):
+        # the small cell raises ValueError (a seed below 0, which BemConfig
+        # would refuse and SeedSequence raises on), the larger one fit's own
+        # ParamValidationError (g beyond n, which select's check would have
+        # refused); the larger runs first, so its error wins on both paths
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        x, y = two_row_kinds()
+        bad = BemConfig()
+        object.__setattr__(bad, "seed", -1)
+        cells = [(1, 1, bad), (x.n + 1, 2, BemConfig(seed=1))]
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            selection._fit_cells(x, y, cells[:1])
+        with pytest.raises(ParamValidationError) as pooled:
+            selection._fit_cells(x, y, cells)
+        in_process(monkeypatch)
+        with pytest.raises(ParamValidationError) as here:
+            selection._fit_cells(x, y, cells)
+        message = "need 1 <= g <= n and 1 <= d <= m, got g=13, d=2, n=12, m=10"
+        assert str(pooled.value) == str(here.value) == message
+
     def test_a_failed_cell_cancels_the_queued_ones(self, monkeypatch):
         # one worker: the failing cell (a seed below 0, which BemConfig
         # would refuse and SeedSequence raises on) is the largest, so it
